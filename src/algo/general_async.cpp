@@ -711,14 +711,7 @@ Task GeneralAsyncDispersion::marchToward(std::uint32_t gi, AgentIx anchor) {
     const NodeId here = engine_.positionOf(groups_[gi].leader);
     const NodeId there = engine_.positionOf(anchor);
     if (here == there) co_return;
-    const auto dist = bfsDistances(engine_.graph(), there);
-    Port step = kNoPort;
-    for (Port p = 1; p <= engine_.graph().degree(here); ++p) {
-      if (dist[engine_.graph().neighbor(here, p)] < dist[here]) {
-        step = p;
-        break;
-      }
-    }
+    const Port step = stepToward(engine_.graph(), here, there, route_);
     DISP_CHECK(step != kNoPort, "march lost its way");
     co_await moveGroup(gi, step);
   }
@@ -781,14 +774,7 @@ Task GeneralAsyncDispersion::selfCollapseAndMarch(std::uint32_t gi,
       co_await engine_.nextActivation(ctx.leader);  // co-located: await absorb
       continue;
     }
-    const auto dist = bfsDistances(engine_.graph(), head);
-    Port step = kNoPort;
-    for (Port p = 1; p <= engine_.graph().degree(here); ++p) {
-      if (dist[engine_.graph().neighbor(here, p)] < dist[here]) {
-        step = p;
-        break;
-      }
-    }
+    const Port step = stepToward(engine_.graph(), here, head, route_);
     DISP_CHECK(step != kNoPort, "march lost its way");
     co_await moveGroup(gi, step);
   }

@@ -42,6 +42,7 @@
 #include "core/memory.hpp"
 #include "core/metrics.hpp"
 #include "graph/graph.hpp"
+#include "graph/graph_algos.hpp"
 
 namespace disp {
 
@@ -241,6 +242,8 @@ class GeneralAsyncDispersion {
   std::vector<Port> probeNext_;
   std::vector<std::vector<std::pair<Label, Port>>> probeMet_;
   std::vector<std::uint8_t> rescanFound_;  // per group: two can rescan at once
+  /// March routing (stepToward); each call completes within one activation.
+  BfsScratch route_;
 };
 
 }  // namespace disp

@@ -160,8 +160,6 @@ Task GeneralSyncDispersion::probeStep(std::uint32_t gi) {
       if (st_[a].label != ctx.label) continue;
       if (!st_[a].settled || st_[a].isGuest) avail.push_back(a);
     }
-    std::sort(avail.begin(), avail.end(),
-              [&](AgentIx a, AgentIx b) { return engine_.idOf(a) < engine_.idOf(b); });
     if (avail.empty()) {
       std::string diag = "probe without available agents: label=" +
                          std::to_string(ctx.label) +
@@ -178,6 +176,10 @@ Task GeneralSyncDispersion::probeStep(std::uint32_t gi) {
     }
     const Port delta = static_cast<Port>(std::min<std::uint32_t>(
         static_cast<std::uint32_t>(avail.size()), limit - st_[aw].checked));
+    // Only the δ smallest-ID agents probe.  IDs are unique, so this prefix
+    // is exactly the one a full sort by ID would produce.
+    std::partial_sort(avail.begin(), avail.begin() + delta, avail.end(),
+                      [&](AgentIx a, AgentIx b) { return engine_.idOf(a) < engine_.idOf(b); });
     ++stats_.probeIterations;
 
     // Out (one round): prober i takes port checked+1+i.
@@ -357,14 +359,7 @@ Task GeneralSyncDispersion::marchToward(std::uint32_t gi, AgentIx anchor) {
     const NodeId here = engine_.positionOf(groups_[gi].leader);
     const NodeId there = engine_.positionOf(anchor);
     if (here == there) co_return;
-    const auto dist = bfsDistances(engine_.graph(), there);
-    Port step = kNoPort;
-    for (Port p = 1; p <= engine_.graph().degree(here); ++p) {
-      if (dist[engine_.graph().neighbor(here, p)] < dist[here]) {
-        step = p;
-        break;
-      }
-    }
+    const Port step = stepToward(engine_.graph(), here, there, route_);
     DISP_CHECK(step != kNoPort, "march lost its way");
     co_await moveGroup(gi, step);
   }
@@ -435,14 +430,7 @@ Task GeneralSyncDispersion::selfCollapseAndMarch(std::uint32_t gi,
       co_await engine_.nextRound();  // co-located: wait for the absorb
       continue;
     }
-    const auto dist = bfsDistances(engine_.graph(), head);
-    Port step = kNoPort;
-    for (Port p = 1; p <= engine_.graph().degree(here); ++p) {
-      if (dist[engine_.graph().neighbor(here, p)] < dist[here]) {
-        step = p;
-        break;
-      }
-    }
+    const Port step = stepToward(engine_.graph(), here, head, route_);
     DISP_CHECK(step != kNoPort, "march lost its way");
     co_await moveGroup(gi, step);
   }

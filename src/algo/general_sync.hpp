@@ -35,6 +35,7 @@
 #include "core/metrics.hpp"
 #include "core/sync_engine.hpp"
 #include "graph/graph.hpp"
+#include "graph/graph_algos.hpp"
 
 namespace disp {
 
@@ -159,6 +160,7 @@ class GeneralSyncDispersion {
   std::vector<Port> probeNext_;
   std::vector<std::vector<std::pair<Label, Port>>> probeMet_;
   bool rescanFound_ = false;
+  BfsScratch route_;  // march routing (stepToward); fibers resume serially
 
   // Exact O(1)/O(dirty) caches of quantities the protocol only ever derives
   // by scanning all groups or all agents.  At web scale (k = 2^20, ℓ large)

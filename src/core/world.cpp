@@ -1,11 +1,43 @@
 #include "core/world.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <thread>
 
 #include "core/round_executor.hpp"
 
 namespace disp {
+
+namespace {
+
+// A rebuilt view of at least this many occupants whose index span fits in
+// one bitmap word per occupant is ordered by sortByBitmap in O(g + span/64)
+// instead of by std::sort in O(g log g).
+constexpr std::size_t kBitmapMinCrowd = 64;
+
+/// Sorts `out` (distinct agent indices in [lo, hi]) ascending through a
+/// bitmap over the touched words only.  The bitmap is per thread because
+/// --run-threads lanes may materialize views of different nodes
+/// concurrently; it is all-zero between calls, since the scan clears every
+/// word it reads.
+void sortByBitmap(std::vector<AgentIx>& out, AgentIx lo, AgentIx hi) {
+  thread_local std::vector<std::uint64_t> bits;
+  const std::size_t base = lo / 64;
+  const std::size_t words = hi / 64 - base + 1;
+  if (bits.size() < words) bits.resize(words, 0);
+  for (const AgentIx a : out) bits[a / 64 - base] |= std::uint64_t{1} << (a % 64);
+  std::size_t n = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      out[n++] = static_cast<AgentIx>((base + w) * 64 +
+                                      static_cast<std::size_t>(std::countr_zero(word)));
+    }
+    bits[w] = 0;
+  }
+  DISP_DCHECK(n == out.size(), "bitmap view lost an occupant");
+}
+
+}  // namespace
 
 World::World(const Graph& g, std::vector<NodeId> startPositions, std::vector<AgentId> ids)
     : graph_(&g),
@@ -84,12 +116,17 @@ void World::materialize(NodeId v) const {
     // arrives in ascending commit order (the dominant burst pattern), so
     // detect that while walking and reverse in O(g) instead of sorting.
     bool descending = true;
+    AgentIx lo = kNoAgent, hi = 0;
     for (AgentIx a = nodes_[v].head; a != kNoAgent; a = agents_[a].next) {
       descending = descending && (out.empty() || out.back() > a);
       out.push_back(a);
+      lo = std::min(lo, a);
+      hi = std::max(hi, a);
     }
     if (descending) {
       std::reverse(out.begin(), out.end());
+    } else if (out.size() >= kBitmapMinCrowd && (hi - lo) / 64 <= out.size()) {
+      sortByBitmap(out, lo, hi);
     } else {
       std::sort(out.begin(), out.end());
     }

@@ -13,9 +13,11 @@
 // repaired lazily: each move appends an add/remove op to the node's pending
 // log, and the next query replays the log into the sorted cache (O(ops * g))
 // — unless the log overflowed, in which case the cache is rebuilt from the
-// list and sorted (O(g log g)).  Query-heavy phases (ASYNC probing) pay the
-// cheap replay; move-heavy bursts (SYNC group hops) coalesce into one
-// rebuild per query instead of per-move sorted inserts.
+// list: reversed when the walk was descending, ordered through a bitmap over
+// agent indices when the node is crowded (O(g + span/64)), sorted otherwise
+// (O(g log g)).  Query-heavy phases (ASYNC probing) pay the cheap replay;
+// move-heavy bursts (SYNC group hops) coalesce into one rebuild per query
+// instead of per-move sorted inserts.
 
 #include <atomic>
 #include <cstdint>

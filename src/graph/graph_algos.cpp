@@ -27,6 +27,41 @@ std::vector<std::uint32_t> bfsDistances(const Graph& g, NodeId src) {
   return dist;
 }
 
+Port stepToward(const Graph& g, NodeId here, NodeId there, BfsScratch& scratch) {
+  DISP_REQUIRE(here < g.nodeCount() && there < g.nodeCount(), "node out of range");
+  if (here == there) return kNoPort;
+  std::vector<std::uint32_t>& dist = scratch.dist;
+  std::vector<NodeId>& queue = scratch.queue;
+  if (dist.size() != g.nodeCount()) dist.assign(g.nodeCount(), kUnreachable);
+  DISP_DCHECK(queue.empty(), "stepToward scratch left dirty");
+
+  dist[there] = 0;
+  queue.push_back(there);
+  for (std::size_t head = 0; head < queue.size() && dist[here] == kUnreachable;
+       ++head) {
+    const NodeId v = queue[head];
+    for (const NodeId u : g.neighbors(v)) {
+      if (dist[u] == kUnreachable) {
+        dist[u] = dist[v] + 1;
+        queue.push_back(u);
+      }
+    }
+  }
+
+  Port step = kNoPort;
+  if (dist[here] != kUnreachable) {
+    for (Port p = 1; p <= g.degree(here); ++p) {
+      if (dist[g.neighbor(here, p)] < dist[here]) {
+        step = p;
+        break;
+      }
+    }
+  }
+  for (const NodeId v : queue) dist[v] = kUnreachable;
+  queue.clear();
+  return step;
+}
+
 std::uint32_t diameter(const Graph& g) {
   std::uint32_t best = 0;
   for (NodeId v = 0; v < g.nodeCount(); ++v) {

@@ -4,11 +4,13 @@
 // the JSONL sink format.  The *Concurrent* tests are the TSan targets.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <thread>
 
 #include <cstdlib>
 
+#include "temp_path.hpp"
 #include "algo/placement.hpp"
 #include "algo/runner.hpp"
 #include "exp/batch_runner.hpp"
@@ -540,7 +542,7 @@ TEST(BatchRunner, FileSpecReproducesGeneratorCellExactly) {
 
   // Save the exact graph the generator cell used (n = 2k, same seed).
   const Graph g = makeGraph("er", 2 * k, seed);
-  const std::string path = ::testing::TempDir() + "exp_file_parity.dpg";
+  const std::string path = processTempPath("exp_file_parity", ".dpg");
   saveGraph(path, g);
 
   CaseSpec viaFile = gen;
@@ -563,6 +565,7 @@ TEST(BatchRunner, FileSpecReproducesGeneratorCellExactly) {
   const SweepResult res = runnerWith(2).run(spec);
   const Cell& cell = res.cells.front();
   expectSameRun(cell.replicates[0].run, a.run, "batch file: seed 7");
+  std::filesystem::remove(path);
 }
 
 TEST(BenchContext, SeedsOrFallsBackToHistoricalSeed) {

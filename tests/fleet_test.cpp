@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "temp_path.hpp"
 #include "exp/bench_registry.hpp"
 #include "fleet/collector.hpp"
 #include "fleet/json.hpp"
@@ -29,8 +30,24 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Root of every scratch directory below, private to this process: ctest
+/// runs each test as its own process, and with a shared root one test
+/// could rebuild the unsharded reference while another was reading it.
+/// Removed when the process exits.
+const std::string& processRoot() {
+  struct Root {
+    std::string path = processTempPath("fleet") + "/";
+    ~Root() {
+      std::error_code ec;
+      fs::remove_all(path, ec);
+    }
+  };
+  static const Root root;
+  return root.path;
+}
+
 std::string testDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "fleet_" + name;
+  const std::string dir = processRoot() + name;
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

@@ -4,10 +4,13 @@
 // path:line error context), algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 
+#include "temp_path.hpp"
 #include "util/rng.hpp"
 
 #include "graph/generators.hpp"
@@ -406,9 +409,10 @@ TEST(GraphIo, FixtureFilesLoadThroughSniffer) {
 
   // dpg sniffing: save a generator graph, reload through loadAnyGraph.
   const Graph er = makeGraph("er", 40, 11);
-  const std::string path = ::testing::TempDir() + "sniff.dpg";
+  const std::string path = processTempPath("sniff", ".dpg");
   saveGraph(path, er);
   const Graph back = loadAnyGraph(path);
+  std::filesystem::remove(path);
   EXPECT_EQ(back.nodeCount(), er.nodeCount());
   EXPECT_EQ(back.edgeCount(), er.edgeCount());
 }
@@ -655,6 +659,63 @@ TEST(GraphAlgos, BfsDistancesOnPath) {
   const Graph g = makePath(6).build();
   const auto d = bfsDistances(g, 0);
   for (NodeId v = 0; v < 6; ++v) EXPECT_EQ(d[v], v);
+}
+
+/// March routing as the protocols historically computed it: a full BFS from
+/// `there`, then the lowest port of `here` leading strictly closer.
+Port referenceStep(const Graph& g, NodeId here, NodeId there) {
+  const auto dist = bfsDistances(g, there);
+  if (here == there || dist[here] == kUnreachable) return kNoPort;
+  for (Port p = 1; p <= g.degree(here); ++p) {
+    if (dist[g.neighbor(here, p)] < dist[here]) return p;
+  }
+  return kNoPort;
+}
+
+void expectScratchClean(const BfsScratch& scratch) {
+  EXPECT_TRUE(scratch.queue.empty());
+  EXPECT_TRUE(std::all_of(scratch.dist.begin(), scratch.dist.end(),
+                          [](std::uint32_t d) { return d == kUnreachable; }));
+}
+
+TEST(GraphAlgos, StepTowardMatchesFullBfsPortChoice) {
+  // One scratch across every graph and target: a stale label left behind
+  // by an early exit would steer a later call off the reference port.
+  BfsScratch scratch;
+  Rng rng(0x57e9ULL);
+  for (const char* family : {"er", "grid", "path", "randtree"}) {
+    const Graph g = makeGraph(family, 96, 13);
+    const auto n = g.nodeCount();
+    for (int i = 0; i < 300; ++i) {
+      const auto here = static_cast<NodeId>(rng.below(n));
+      const auto there = static_cast<NodeId>(rng.below(n));
+      const Port want = referenceStep(g, here, there);
+      ASSERT_EQ(stepToward(g, here, there, scratch), want)
+          << family << " " << here << " -> " << there;
+      ASSERT_EQ(stepToward(g, here, there, scratch), want) << "repeat call";
+      if (here != there) {
+        EXPECT_NE(want, kNoPort);  // connected families
+      }
+    }
+    EXPECT_EQ(stepToward(g, 5, 5, scratch), kNoPort);
+    expectScratchClean(scratch);
+  }
+
+  // Two components: a path 0-1-2-3-4 and a cycle 5..9.
+  GraphBuilder b(10);
+  for (NodeId v = 0; v < 4; ++v) b.addEdge(v, v + 1);
+  for (NodeId v = 5; v < 10; ++v) b.addEdge(v, v == 9 ? 5 : v + 1);
+  const Graph split = b.build(PortLabeling::RandomPermutation, 3);
+  for (NodeId here = 0; here < 10; ++here) {
+    for (NodeId there = 0; there < 10; ++there) {
+      const Port got = stepToward(split, here, there, scratch);
+      EXPECT_EQ(got, referenceStep(split, here, there)) << here << " -> " << there;
+      if ((here < 5) != (there < 5)) {
+        EXPECT_EQ(got, kNoPort) << "unreachable";
+      }
+    }
+  }
+  expectScratchClean(scratch);
 }
 
 TEST(GraphAlgos, DiameterKnownValues) {

@@ -118,6 +118,18 @@ TEST(WorldOccupancyFuzz, BurstyGroupMoves) {
   fuzzWorld(g, 24, 8000, 11, 0x5eedULL);
 }
 
+TEST(WorldOccupancyFuzz, CrowdedHubBitmapRebuild) {
+  // Random walkers on a star keep about half of k = 900 on the hub: a crowd
+  // of hundreds, far above the bitmap-rebuild threshold, with indices
+  // spread over [0, k) and arriving in shuffled order.  Between queries
+  // more than kMaxPendingOps moves touch the hub, so its view is rebuilt
+  // through the bitmap; cadence 1 covers log replay into the same crowd.
+  const Graph g = makeGraph("star", 1024, 21);
+  for (const std::uint32_t querySkip : {1u, 11u, 64u}) {
+    fuzzWorld(g, 900, 5000, querySkip, 0xb17ULL + querySkip);
+  }
+}
+
 // --------------------------------------------- epoch regression
 
 struct EpochCase {

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <vector>
 
+#include "temp_path.hpp"
 #include "util/mem.hpp"
 #include "util/rng.hpp"
 
@@ -147,7 +149,7 @@ TEST(GraphIo, EdgeListRejectsDuplicatesInBothOrientations) {
 
 TEST(GraphIo, GraphalyticsWriterRoundTrips) {
   const Graph g = makeGraph("ba:n=300,d=3", 0, 21, PortLabeling::InsertionOrder);
-  const std::string base = ::testing::TempDir() + "rt_ba";
+  const std::string base = processTempPath("rt_ba");
   writeGraphalytics(base, g);
   const Graph h = loadGraphalytics(base);
   ASSERT_EQ(h.nodeCount(), g.nodeCount());
@@ -160,9 +162,13 @@ TEST(GraphIo, GraphalyticsWriterRoundTrips) {
       EXPECT_NE(h.portTo(v, g.neighbor(v, p)), kNoPort);
     }
   }
-  const std::string base2 = ::testing::TempDir() + "rt_ba2";
+  const std::string base2 = processTempPath("rt_ba2");
   writeGraphalytics(base2, h);
   expectSameLabeledGraph(h, loadGraphalytics(base2));
+  for (const std::string& b : {base, base2}) {
+    std::filesystem::remove(b + ".v");
+    std::filesystem::remove(b + ".e");
+  }
 }
 
 // ------------------------------------------------------------- generators
