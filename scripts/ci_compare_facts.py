@@ -3,18 +3,17 @@
 
     python3 scripts/ci_compare_facts.py REFERENCE.jsonl CANDIDATE.jsonl
 
-Telemetry columns (timings, rates, RSS probes, host shape — the set the
-collector's divergence auditor exempts, see src/fleet/collector.cpp) are
-stripped; everything else must match as an unordered multiset of rows.
+Telemetry columns (timings, rates, RSS probes — the set the collector's
+divergence auditor exempts, see src/fleet/collector.cpp) are stripped;
+everything else must match as an unordered multiset of rows.
 Used by the fleet-smoke CI job to pin `disp_fleet run` merges against an
 unsharded single-process run at tolerance 0.
 """
 import json
 import sys
 
-TELEMETRY = {"ms", "speedup", "Mact/s", "Mmoves/s", "load_ms", "peak_rss_mb",
-             "rss_lb_mb", "rss_ratio", "hardware_threads", "oversubscribed",
-             "lanes"}
+TELEMETRY = {"ms", "Mact/s", "Mmoves/s", "load_ms", "peak_rss_mb",
+             "rss_lb_mb", "rss_ratio"}
 
 
 def facts(path):

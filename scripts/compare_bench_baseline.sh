@@ -51,9 +51,8 @@ IDENTITY = {"k", "n", "m", "Delta", "family", "l", "sched", "algo", "dispersed"}
 # Machine-dependent telemetry: never compared, never a failure.  Wallclock
 # and memory numbers document the recording machine; the simulation facts
 # they ride alongside are covered by IDENTITY/METRICS above.
-TELEMETRY = {"ms", "speedup", "Mact/s", "Mmoves/s", "load_ms", "peak_rss_mb",
-             "rss_lb_mb", "rss_ratio", "hardware_threads", "oversubscribed",
-             "lanes"}
+TELEMETRY = {"ms", "Mact/s", "Mmoves/s", "load_ms", "peak_rss_mb",
+             "rss_lb_mb", "rss_ratio"}
 
 fresh = {}
 with open(jsonl_path) as f:

@@ -5,16 +5,11 @@
 # layout (rows keyed by table column, fit lines).  Run from the repo root
 # after a Release build in ./build; pass a build dir to override.
 #
-# Also runs the `scaling` sweep (E18: single-run wallclock vs --run-threads
-# lanes) into BENCH_scaling.json.  Scaling rows are wallclock telemetry
-# stamped with hardware_threads — they document the machine they came from
-# and are NOT compared by compare_bench_baseline.sh (only the simulation
-# facts inside them are guarded, by the bench's own lane-invariance checks).
-#
-# And the `scale_real` campaign (E19: web-scale ingest + peak RSS) into
-# BENCH_scale_real.json.  Its memory/wallclock columns are telemetry too;
-# run scripts/make_scale_data.sh first so the 10^7-node file cells are
-# included (they are skipped with a note otherwise).
+# Also runs the `scale_real` campaign (E19: web-scale ingest + peak RSS) into
+# BENCH_scale_real.json.  Its memory/wallclock columns are telemetry that
+# documents the recording machine; run scripts/make_scale_data.sh first so
+# the 10^7-node file cells are included (they are skipped with a note
+# otherwise).
 #
 # And the `faults` campaign (E20: fault loads vs protocols) into
 # BENCH_faults.json — the self-stabilization scorecard, with per-cell
@@ -26,7 +21,6 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 OUT="${REPO_ROOT}/BENCH_table1.json"
-SCALING_OUT="${REPO_ROOT}/BENCH_scaling.json"
 SCALE_REAL_OUT="${REPO_ROOT}/BENCH_scale_real.json"
 FAULTS_OUT="${REPO_ROOT}/BENCH_faults.json"
 
@@ -68,36 +62,6 @@ for name, bench in benches.items():
 print(f"wrote {out_path}")
 EOF
 
-# Single-run scaling telemetry (facts are lane-invariant — the bench
-# DISP_CHECKs that itself; ms/speedup are machine-dependent telemetry).
-SCALING_JSONL="$(mktemp)"
-trap 'rm -f "${JSONL}" "${SCALING_JSONL}"' EXIT
-"${BUILD_DIR}/disp_bench" scaling --threads=1 --jsonl="${SCALING_JSONL}" > /dev/null
-
-python3 - "${SCALING_JSONL}" "${SCALING_OUT}" scaling <<'EOF'
-import json, sys
-
-jsonl_path, out_path, sweeps = sys.argv[1], sys.argv[2], sys.argv[3:]
-benches = {f"bench_{name}": {"rows": [], "fits": []} for name in sweeps}
-with open(jsonl_path) as f:
-    for line in f:
-        rec = json.loads(line)
-        key = f"bench_{rec.pop('sweep')}"
-        # Keep only the per-lane telemetry records ("table": "cell", which
-        # carry family + hardware_threads); emitTable additionally mirrors
-        # the markdown rows under per-family titles — skip those.
-        if rec.pop("table", None) == "cell":
-            benches[key]["rows"].append(rec)
-
-snapshot = {"scale": 1.0, "benches": benches}
-with open(out_path, "w") as f:
-    json.dump(snapshot, f, indent=1)
-    f.write("\n")
-for name, bench in benches.items():
-    print(f"{name}: {len(bench['rows'])} rows")
-print(f"wrote {out_path}")
-EOF
-
 # Web-scale memory campaign (E19).  All of its columns are telemetry
 # (peak RSS, ingest wallclock) or already guarded by the engine's own
 # invariants; the snapshot documents the machine + datasets it came from.
@@ -110,7 +74,7 @@ EOF
 SCALE_REAL_JSONL="$(mktemp)"
 SCALE_REAL_PART="$(mktemp)"
 FAULTS_JSONL="$(mktemp)"
-trap 'rm -f "${JSONL}" "${SCALING_JSONL}" "${SCALE_REAL_JSONL}" "${SCALE_REAL_PART}" "${FAULTS_JSONL}"' EXIT
+trap 'rm -f "${JSONL}" "${SCALE_REAL_JSONL}" "${SCALE_REAL_PART}" "${FAULTS_JSONL}"' EXIT
 for spec in "er:fast=1,n=1048576" "ba:n=1048576" "rmat:n=1048576" \
             "file:bench/data/ba_1e7.e"; do
   "${BUILD_DIR}/disp_bench" scale_real --graphs="${spec}" --threads=1 \

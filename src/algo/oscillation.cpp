@@ -161,8 +161,7 @@ void OscillatorSystem::rebuildPlan(Osc& osc) const {
   DISP_CHECK(osc.plan.size() <= 6, "Lemma 2 violated: trip exceeds 6 rounds");
 }
 
-template <typename Sink>
-void OscillatorSystem::stepOscillator(Osc& osc, Sink& sink) {
+void OscillatorSystem::stepOscillator(Osc& osc) {
   if (osc.planIx >= osc.plan.size()) {
     // Fast path: no duty left (stops dropped) and no trip in flight —
     // skip the per-round plan rebuild for every retired oscillator.
@@ -172,7 +171,7 @@ void OscillatorSystem::stepOscillator(Osc& osc, Sink& sink) {
         osc.planIx = 0;
       }
       if (duty_[osc.agent] != 0) {
-        sink.duty(osc.agent, osc.home, 0, 0);
+        engine_.traceEvent(TraceEventKind::OscillationDuty, osc.agent, osc.home, 0, 0);
       }
       duty_[osc.agent] = 0;
       return;
@@ -199,51 +198,13 @@ void OscillatorSystem::stepOscillator(Osc& osc, Sink& sink) {
       break;
   }
   DISP_CHECK(via != kNoPort, "oscillator lost its route");
-  sink.stageMove(osc.agent, via);
+  engine_.stageMove(osc.agent, via);
   osc.atStop = hop.stopKey;  // where this hop will land (kNoPort if not a stop)
   ++osc.planIx;
 }
 
-namespace {
-
-// Sinks for stepOscillator: straight to the engine (serial) or into a
-// per-lane buffer that the engine merges in lane order (parallel).
-struct EngineSink {
-  SyncEngine& engine;
-  void stageMove(AgentIx a, Port p) { engine.stageMove(a, p); }
-  void duty(AgentIx agent, NodeId node, std::uint32_t a, std::uint32_t b) {
-    engine.traceEvent(TraceEventKind::OscillationDuty, agent, node, a, b);
-  }
-};
-
-struct LaneSink {
-  SyncEngine::LaneStager& lane;
-  void stageMove(AgentIx a, Port p) { lane.stageMove(a, p); }
-  void duty(AgentIx agent, NodeId node, std::uint32_t a, std::uint32_t b) {
-    lane.traceEvent(TraceEventKind::OscillationDuty, agent, node, a, b);
-  }
-};
-
-// Below this many oscillators the per-round dispatch overhead beats the
-// chunked win; step serially.
-constexpr std::size_t kParallelStagingMin = 256;
-
-}  // namespace
-
 void OscillatorSystem::stageMoves() {
-  const unsigned lanes = engine_.stagingLanes();
-  if (lanes > 1 && oscs_.size() >= kParallelStagingMin) {
-    // Contiguous chunks of oscs_ per lane + lane-order merge reproduce the
-    // serial staging order exactly; each step only touches its own state.
-    engine_.stageParallel([this, lanes](unsigned lane, SyncEngine::LaneStager& out) {
-      const auto [lo, hi] = RoundExecutor::chunk(oscs_.size(), lanes, lane);
-      LaneSink sink{out};
-      for (std::size_t i = lo; i < hi; ++i) stepOscillator(oscs_[i], sink);
-    });
-    return;
-  }
-  EngineSink sink{engine_};
-  for (auto& osc : oscs_) stepOscillator(osc, sink);
+  for (auto& osc : oscs_) stepOscillator(osc);
 }
 
 }  // namespace disp

@@ -111,13 +111,9 @@ class OscillatorSystem {
   [[nodiscard]] const Osc* find(AgentIx agent) const;
   Osc& findOrCreate(AgentIx agent);
   void rebuildPlan(Osc& osc) const;
-  /// One oscillator's per-round step, writing its move/duty-event to
-  /// `sink` — directly to the engine on the serial path, to a per-lane
-  /// stager on the parallel one.  Each step touches only its own Osc and
-  /// duty_ slot and reads frozen engine state, so contiguous chunks of
-  /// oscs_ may step concurrently.
-  template <typename Sink>
-  void stepOscillator(Osc& osc, Sink& sink);
+  /// One oscillator's per-round step: stages its move (and its duty-off
+  /// event) on the engine.
+  void stepOscillator(Osc& osc);
   void stageMoves();
 
   SyncEngine& engine_;

@@ -123,6 +123,7 @@ RunResult runSession(const Graph& g, const Placement& placement,
   const auto k = static_cast<std::uint32_t>(placement.positions.size());
   DISP_REQUIRE(k >= 1, "placement is empty");
   DISP_REQUIRE(opts.sampleEvery >= 1, "sampleEvery must be >= 1");
+  DISP_REQUIRE(opts.runThreads == 1, "runThreads must be 1 (runs are single-threaded)");
   if (def.traits.requiresRooted) {
     for (const NodeId v : placement.positions) {
       DISP_REQUIRE(v == placement.positions.front(),
@@ -141,7 +142,6 @@ RunResult runSession(const Graph& g, const Placement& placement,
     const std::uint64_t limit =
         opts.limit ? opts.limit : 20000ULL * k + 40ULL * g.edgeCount() + 400000;
     SyncEngine engine(g, placement.positions, placement.ids);
-    if (opts.runThreads != 1) engine.setRunThreads(opts.runThreads);
     EngineObserver obs = buildObserver(opts, /*async=*/false, &trajectory);
     if (obs.any()) engine.installObserver(std::move(obs));
     std::unique_ptr<FaultInjector> inj;

@@ -58,20 +58,18 @@ struct RunOptions {
   std::uint64_t seed = 1;
   /// Safety cap on rounds (SYNC) / activations (ASYNC); 0 = auto.
   std::uint64_t limit = 0;
-  /// Intra-run worker lanes for SYNC round execution (staging + commit):
-  /// 1 = serial (default), 0 = hardware concurrency, N = exactly N.  Facts,
-  /// traces and snapshots are byte-identical for every value (DESIGN.md
-  /// §9).  ASYNC algorithms ignore this — their activation stream is
-  /// inherently sequential.
+  /// Threads per run: fixed at 1 (every run executes on the calling
+  /// thread; sweeps parallelize across runs instead).  runSession rejects
+  /// any other value.  Kept so callers that pin it explicitly still build.
   unsigned runThreads = 1;
   /// Fault load (core/faults.hpp grammar; DESIGN.md §11): "none", or e.g.
   /// "crash:rate=0.25,restart=64", "churn:edges=4,every=32",
   /// "silent:count=2".  The schedule is materialized from this spec, the
-  /// instance (graph, k) and `seed` — deterministic and runThreads-
-  /// invariant.  Under a fault load the run cannot hard-fail: the
-  /// round/activation cap becomes RunResult::limitHit, a protocol
-  /// invariant violation becomes RunResult::protocolError, and
-  /// RunResult::recovered/recoveredAt score self-stabilization.
+  /// instance (graph, k) and `seed`, so it is deterministic.  Under a
+  /// fault load the run cannot hard-fail: the round/activation cap becomes
+  /// RunResult::limitHit, a protocol invariant violation becomes
+  /// RunResult::protocolError, and RunResult::recovered/recoveredAt score
+  /// self-stabilization.
   std::string faults = "none";
 
   // --- observability (all optional; see core/trace.hpp) ---

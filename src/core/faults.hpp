@@ -29,16 +29,16 @@
 // round-trips; parameters print in canonical sorted order.
 //
 // FaultInjector materializes one seed-deterministic schedule per run (all
-// randomness drawn up front from the run seed — independent of lane count,
-// scheduler state and observer presence) and answers the engines' boundary
+// randomness drawn up front from the run seed — independent of scheduler
+// state and observer presence) and answers the engines' boundary
 // queries: who is crashed, which edges are down, and — for the
 // self-stabilization verdict — whether the configuration re-dispersed
 // after the last injected fault and stayed dispersed to run end.
 //
 // Determinism contract: the schedule is a pure function of (spec, graph,
-// k, seed, model); the engines consult it only at round/activation
-// boundaries through the serial fault paths, so fault runs report
-// byte-identical facts at every --run-threads value.
+// k, seed, model) and the engines consult it only at round/activation
+// boundaries, so a fault run reports the same facts every time it is
+// repeated.
 
 #include <cstdint>
 #include <map>

@@ -18,7 +18,6 @@
 #include "core/faults.hpp"
 #include "core/fiber.hpp"
 #include "core/memory.hpp"
-#include "core/round_executor.hpp"
 #include "core/trace.hpp"
 #include "core/world.hpp"
 #include "graph/graph.hpp"
@@ -83,48 +82,6 @@ class SyncEngine {
   /// Awaitable: suspend the calling fiber until the next round boundary.
   [[nodiscard]] StepAwait nextRound();
 
-  // --- intra-run parallelism (DESIGN.md §9) ---
-  /// Worker lanes for round execution: 1 = serial (default, no pool), 0 =
-  /// hardware concurrency, N = exactly N lanes.  Call before run().  Facts,
-  /// traces and snapshots are byte-identical for every value: parallel
-  /// staging merges per-lane buffers in lane order through the regular
-  /// stageMove/trace paths, and the parallel commit is order-independent
-  /// within a round (each agent moves at most once).
-  void setRunThreads(unsigned threads);
-  /// Lanes available to stageParallel (1 = serial).
-  [[nodiscard]] unsigned stagingLanes() const noexcept {
-    return executor_ ? executor_->lanes() : 1;
-  }
-
-  /// Per-lane staging buffer for stageParallel(): a worker lane records
-  /// moves and trace events here; the engine replays the buffers in lane
-  /// order, so the merged result is byte-identical to staging the same
-  /// sequence serially.
-  class LaneStager {
-   public:
-    void stageMove(AgentIx a, Port p) { moves_.emplace_back(a, p); }
-    /// Buffered equivalent of SyncEngine::traceEvent (round stamped at the
-    /// merge; no-op when the engine isn't tracing, like TraceHost::emit).
-    void traceEvent(TraceEventKind kind, AgentIx agent, NodeId node, std::uint32_t a,
-                    std::uint32_t b) {
-      if (tracing_) events_.push_back({kind, 0, agent, node, a, b});
-    }
-
-   private:
-    friend class SyncEngine;
-    std::vector<std::pair<AgentIx, Port>> moves_;
-    std::vector<TraceEvent> events_;
-    bool tracing_ = false;
-  };
-
-  /// Runs fn(lane, stager) on every lane (lane 0 = caller) and merges the
-  /// lane buffers in lane order.  With one lane, runs fn inline.  fn must
-  /// treat the world as immutable (positions/pins/occupancy only change at
-  /// commit) and write nothing but its own stager.  Intended for round
-  /// hooks over independent per-agent work (oscillator staging); fibers
-  /// are never parallelized — they share protocol state by design.
-  void stageParallel(const std::function<void(unsigned, LaneStager&)>& fn);
-
   // --- fault injection (core/faults.hpp, DESIGN.md §11) ---
   /// Installs the per-run fault injector (non-owning; must outlive run()).
   /// Call before run().  With an injector installed:
@@ -132,7 +89,7 @@ class SyncEngine {
   ///  * staged ports invalid for the agent's *actual* position (protocol
   ///    belief desynced by an earlier vetoed move) become failed attempts
   ///    instead of errors,
-  ///  * commits run serially and veto moves through churned-down edges,
+  ///  * commits veto moves through churned-down edges,
   ///  * hitting the round limit reports limitHit() instead of throwing.
   void installFaults(FaultInjector* faults) {
     DISP_CHECK(!running_, "installFaults() during run()");
@@ -178,9 +135,6 @@ class SyncEngine {
   TraceHost trace_;       ///< observability (inert without installObserver)
   FaultInjector* faults_ = nullptr;  ///< fault mode (inert when null)
   bool limitHit_ = false;            ///< fault-mode limit verdict
-  /// Worker pool for stageParallel / parallel commit; null when serial.
-  std::unique_ptr<RoundExecutor> executor_;
-  std::vector<LaneStager> laneStagers_;
 };
 
 /// Convenience subtask: let `n` rounds pass.

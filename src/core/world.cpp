@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <thread>
-
-#include "core/round_executor.hpp"
 
 namespace disp {
 
@@ -17,9 +14,8 @@ constexpr std::size_t kBitmapMinCrowd = 64;
 
 /// Sorts `out` (distinct agent indices in [lo, hi]) ascending through a
 /// bitmap over the touched words only.  The bitmap is per thread because
-/// --run-threads lanes may materialize views of different nodes
-/// concurrently; it is all-zero between calls, since the scan clears every
-/// word it reads.
+/// BatchRunner workers run Worlds concurrently; it is all-zero between
+/// calls, since the scan clears every word it reads.
 void sortByBitmap(std::vector<AgentIx>& out, AgentIx lo, AgentIx hi) {
   thread_local std::vector<std::uint64_t> bits;
   const std::size_t base = lo / 64;
@@ -79,18 +75,12 @@ void World::applyMove(AgentIx a, Port p) {
 }
 
 World::ViewAux& World::auxAllocate(NodeId v) const {
-  const std::lock_guard<std::mutex> guard(auxMutex_);
-  // Only one lane can reach here for a given v (partition / node lock), so
-  // nodes_[v].aux is stable; the mutex guards the shared counter + chunks.
-  std::uint32_t slot = nodes_[v].aux;
-  if (slot == kNoAux) {
-    slot = auxCount_++;
-    const std::size_t chunk = slot / kAuxChunk;
-    if (!auxChunks_[chunk]) {
-      auxChunks_[chunk] = std::make_unique<ViewAux[]>(kAuxChunk);
-    }
-    nodes_[v].aux = slot;
+  const std::uint32_t slot = auxCount_++;
+  const std::size_t chunk = slot / kAuxChunk;
+  if (!auxChunks_[chunk]) {
+    auxChunks_[chunk] = std::make_unique<ViewAux[]>(kAuxChunk);
   }
+  nodes_[v].aux = slot;
   return auxSlot(slot);
 }
 
@@ -132,78 +122,6 @@ void World::materialize(NodeId v) const {
     }
   }
   nodes_[v].viewState = kViewClean;
-}
-
-void World::lockNode(NodeId v) noexcept {
-  // Critical sections are a handful of writes, so a short spin almost
-  // always wins; yield periodically in case the holder was preempted
-  // (oversubscribed single-core machines).
-  int spins = 0;
-  while (nodeLocks_[v].test_and_set(std::memory_order_acquire)) {
-    if (++spins >= 64) {
-      std::this_thread::yield();
-      spins = 0;
-    }
-  }
-}
-
-void World::moveLockedStaged(AgentIx a, Port p) {
-  DISP_DCHECK(a < agentCount(), "agent out of range");
-  AgentCell& cell = agents_[a];
-  // Stable reads: `a` moves at most once per batch and no other lane
-  // writes its pos/pin.
-  const NodeId from = cell.pos;
-  DISP_DCHECK(p >= 1 && p <= graph_->degree(from), "move through invalid port");
-  const NodeId to = graph_->neighbor(from, p);
-
-  // Same mutations as moveInternal, but each node's list/count/log is
-  // touched only under that node's lock.  One lock held at a time, so no
-  // ordering discipline is needed for deadlock freedom.  Between unlink
-  // and relink `a` is on no list, and only this lane references its links.
-  lockNode(from);
-  {
-    NodeCell& src = nodes_[from];
-    if (cell.prev == kNoAgent) {
-      src.head = cell.next;
-    } else {
-      agents_[cell.prev].next = cell.next;
-    }
-    if (cell.next != kNoAgent) agents_[cell.next].prev = cell.prev;
-    --src.count;
-    logOp(from, a | kLogRemove);
-  }
-  unlockNode(from);
-
-  lockNode(to);
-  {
-    NodeCell& dst = nodes_[to];
-    cell.next = dst.head;
-    cell.prev = kNoAgent;
-    if (dst.head != kNoAgent) agents_[dst.head].prev = a;
-    dst.head = a;
-    ++dst.count;
-    logOp(to, a);
-  }
-  unlockNode(to);
-
-  cell.pos = to;
-  cell.pin = graph_->reversePort(from, p);
-  // totalMoves_ is batch-incremented by applyMovesStagedParallel.
-}
-
-void World::applyMovesStagedParallel(
-    RoundExecutor& exec, const std::vector<std::pair<AgentIx, Port>>& moves) {
-  if (!nodeLocks_) {
-    // Value-initialized atomic_flags start clear (C++20).
-    nodeLocks_ = std::make_unique<std::atomic_flag[]>(graph_->nodeCount());
-  }
-  exec.run([&](unsigned lane) {
-    const auto [lo, hi] = RoundExecutor::chunk(moves.size(), exec.lanes(), lane);
-    for (std::size_t i = lo; i < hi; ++i) {
-      moveLockedStaged(moves[i].first, moves[i].second);
-    }
-  });
-  totalMoves_ += moves.size();
 }
 
 }  // namespace disp

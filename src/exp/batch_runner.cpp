@@ -156,7 +156,6 @@ SweepResult BatchRunner::run(const SweepSpec& spec) const {
     c.nOverK = spec.nOverK;
     c.labeling = spec.labeling;
     c.limit = spec.limit;
-    c.runThreads = options_.runThreads;
     c.faults = key.faults;
     if (options_.observe) {
       c.observe = [this, &key, seed = c.seed](RunOptions& opts) {

@@ -4,9 +4,9 @@
 #include <atomic>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <streambuf>
-#include <thread>
 
 #include "algo/placement.hpp"
 #include "core/faults.hpp"
@@ -48,8 +48,6 @@ const std::vector<BenchDef>& benchRegistry() {
        &benchAblationScheduler},
       {"wallclock", "E14: simulator wall-clock per run (telemetry)",
        &benchWallclock, /*heavy=*/false, /*shardable=*/false},
-      {"scaling", "E18: single-run wallclock vs --run-threads lanes (telemetry)",
-       &benchScaling, /*heavy=*/false, /*shardable=*/false},
       {"scale_real", "E19: web-scale ingest & peak-RSS campaign (n=10^6..10^7)",
        &benchScaleReal, /*heavy=*/true},
       {"trace_smoke", "E16: tiny observed cells (drives --trace / check_trace.sh)",
@@ -119,6 +117,13 @@ void applyAxisOverrides(BenchContext& ctx, const Cli& cli) {
   }
 }
 
+/// Every flag runBenches reads (the list in bench_registry.hpp).  Anything
+/// else is a typo or a retired flag, rejected before any sweep runs.
+constexpr const char* kBenchFlags[] = {
+    "threads", "seeds", "jsonl", "trace", "trajectory", "sample", "graphs",
+    "placements", "ks", "faults", "shard", "list-cells", "stream-cells",
+};
+
 struct NullBuffer : std::streambuf {
   int overflow(int c) override { return c; }
 };
@@ -164,6 +169,13 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
       for (const BenchDef& def : benchRegistry()) {
         std::cerr << "  " << def.name << "\n";
       }
+      return 2;
+    }
+  }
+  for (const auto& [flag, value] : cli.flags()) {
+    if (std::find(std::begin(kBenchFlags), std::end(kBenchFlags), flag) ==
+        std::end(kBenchFlags)) {
+      std::cerr << "error: unknown flag --" << flag << "\n";
       return 2;
     }
   }
@@ -219,24 +231,6 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
     return 2;
   }
   ctx.batch.threads = static_cast<unsigned>(threads);
-  const std::int64_t runThreads = cli.integer("run-threads", 1);
-  if (runThreads < 0 || runThreads > 256) {
-    std::cerr << "error: --run-threads must be in [0, 256] (0 = hardware concurrency)\n";
-    return 2;
-  }
-  ctx.batch.runThreads = static_cast<unsigned>(runThreads);
-  // Nested-parallelism guard: cell-level workers (--threads) and intra-run
-  // lanes (--run-threads) multiply into oversubscription.  0 means
-  // hardware concurrency for both flags, so resolve before comparing.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned effCell = ctx.batch.threads == 0 ? hw : ctx.batch.threads;
-  const unsigned effRun = ctx.batch.runThreads == 0 ? hw : ctx.batch.runThreads;
-  if (effRun > 1 && effCell > 1) {
-    std::cerr << "error: --run-threads=" << runThreads
-              << " requires --threads=1 (cell-level and intra-run "
-                 "parallelism multiply; pick one axis)\n";
-    return 2;
-  }
   try {
     applyAxisOverrides(ctx, cli);
   } catch (const std::exception& e) {

@@ -8,13 +8,9 @@
 //     return disp::exp::benchMain("table1_sync_rooted", argc, argv);
 //   }
 //
-// Common flags (parsed by benchMain / runBenches):
+// Common flags (parsed by benchMain / runBenches, which reject any other
+// flag with exit code 2):
 //   --threads=N      worker threads (0 = hardware concurrency, the default)
-//   --run-threads=N  intra-run worker lanes for SYNC rounds (1 = serial,
-//                    the default; 0 = hardware concurrency).  Facts are
-//                    lane-count invariant (DESIGN.md §9).  Requires
-//                    --threads=1: the two parallelism axes multiply
-//                    (runBenches rejects nested parallelism)
 //   --seeds=a,b,c    replicate seeds overriding each suite's single
 //                    historical seed; time cells become per-cell means and
 //                    tables gain per-cell "±95" CI columns
@@ -32,6 +28,8 @@
 //   --placements=S;S override the placement axis with ';'-separated
 //                    PlacementSpec strings ('rooted;adversarial:far')
 //   --ks=a,b,c       override the k axis (suites that take it)
+//   --faults=S;S     override the fault-load axis with ';'-separated
+//                    FaultSpec strings ('none;crash:rate=0.25,restart=64')
 //   --shard=I/N      run only cells with index ≡ I (mod N) of each suite's
 //                    deterministic enumeration; merge the JSONL shard
 //                    outputs with scripts/merge_jsonl.sh (or let the
@@ -69,8 +67,8 @@ struct BenchDef {
   /// True when every cell the suite runs goes through BatchRunner's
   /// canonical enumeration, so --shard partitions it disjointly and
   /// --list-cells can enumerate it without simulating.  Hand-rolled loops
-  /// (the fig suites, wallclock, scaling) are not shardable: every shard
-  /// would rerun them whole, and runBenches rejects the combination.
+  /// (the fig suites, wallclock) are not shardable: every shard would
+  /// rerun them whole, and runBenches rejects the combination.
   bool shardable = true;
 };
 

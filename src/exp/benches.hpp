@@ -19,10 +19,6 @@ void benchTable1Memory(BenchContext& ctx);        // E5
 // Large-k scale sweep, streams cells to JSONL (benches_scale.cpp).
 void benchTable1Scale(BenchContext& ctx);         // E15
 
-// Single-run wallclock vs --run-threads lanes on the largest table1_scale
-// cell; enforces lane-count fact invariance (benches_scale.cpp).
-void benchScaling(BenchContext& ctx);             // E18
-
 // Web-scale ingest & memory campaign: peak-RSS-annotated general SYNC
 // cells on 10^6..10^7-node graphs (benches_scale.cpp).
 void benchScaleReal(BenchContext& ctx);           // E19

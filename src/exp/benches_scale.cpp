@@ -7,11 +7,8 @@
 // moment its replicates land (completion order), so a killed sweep keeps
 // its completed cells; the markdown tables still print in canonical order
 // at the end.
-#include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <mutex>
-#include <thread>
 
 #include "algo/general_sync.hpp"
 #include "core/world.hpp"
@@ -84,99 +81,6 @@ void benchTable1Scale(BenchContext& ctx) {
       emitNote(ctx, name, "fit",
                growthDiagnosisLine(family + "/RootedSync@scale", ks, ours));
     }
-  }
-}
-
-// E18 — single-run scaling: wallclock of the largest table1_scale cell at
-// --run-threads lanes 1/2/4/8.  Pure telemetry — the lane count must not
-// change a single fact, and this bench enforces that (DISP_CHECK against
-// the lanes=1 run).  Rows land in BENCH_scaling.json via
-// scripts/record_bench_baseline.sh; hardware_threads is recorded so
-// numbers from oversubscribed machines (CI containers pinned to one core)
-// read as what they are.
-void benchScaling(BenchContext& ctx) {
-  const std::string name = "scaling";
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  ctx.out << "# E18: single-run scaling — wallclock vs --run-threads"
-             " (hardware_threads=" << hw << ")\n";
-
-  // Largest k of the (scaled) table1_scale axis; one timed run per lane
-  // count against a shared prebuilt graph so wallclock isolates the run.
-  SweepSpec sizing;
-  sizing.name = name;
-  sizing.ks = ctx.ksOr({1u << 14});
-  sizing.scale = scale();
-  const std::vector<std::uint32_t> ks = sizing.scaledKs();
-  const std::uint32_t k = *std::max_element(ks.begin(), ks.end());
-  const std::uint64_t seed = ctx.seedsOr(3).front();
-  const unsigned laneCounts[] = {1, 2, 4, 8};
-
-  for (const std::string& family : ctx.graphsOr({"er", "grid", "randtree"})) {
-    CaseSpec base;
-    base.graph = family;
-    base.k = k;
-    base.algorithm = "rooted_sync";
-    base.seed = seed;
-    const auto n = static_cast<std::uint32_t>(double(k) * base.nOverK);
-    const Graph g = GraphSpec::parse(family).instantiate(n, seed, base.labeling);
-
-    Table t({"k", "n", "run_threads", "rounds", "moves", "ms", "speedup",
-             "oversubscribed", "dispersed"});
-    RunRecord reference;
-    double serialMs = 0.0;
-    for (const unsigned lanes : laneCounts) {
-      // Lane counts beyond the hardware say so in the row itself: their
-      // "speedup" is scheduler-contention telemetry, not a scaling claim.
-      const bool oversubscribed = lanes > hw;
-      CaseSpec c = base;
-      c.runThreads = lanes;
-      const auto t0 = std::chrono::steady_clock::now();
-      const RunRecord rec = runCell(g, c);
-      const double ms =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                    t0)
-              .count();
-      DISP_CHECK(rec.error.empty(), "scaling cell failed: " + rec.error);
-      if (lanes == 1) {
-        reference = rec;
-        serialMs = ms;
-      } else {
-        // The determinism contract, enforced: lanes change wallclock only.
-        DISP_CHECK(rec.run.time == reference.run.time &&
-                       rec.run.totalMoves == reference.run.totalMoves &&
-                       rec.run.dispersed == reference.run.dispersed &&
-                       rec.run.finalPositions == reference.run.finalPositions,
-                   "run facts drifted across --run-threads values");
-      }
-      t.row()
-          .cell(std::uint64_t{k})
-          .cell(std::uint64_t{rec.n})
-          .cell(std::uint64_t{lanes})
-          .cell(rec.run.time)
-          .cell(rec.run.totalMoves)
-          .cell(ms, 1)
-          .cell(ms > 0.0 ? serialMs / ms : 0.0, 2)
-          .cell(std::string(oversubscribed ? "yes" : "no"))
-          .cell(std::string(rec.run.dispersed ? "yes" : "NO"));
-      if (ctx.jsonl != nullptr) {
-        std::vector<std::pair<std::string, std::string>> fields;
-        fields.emplace_back("sweep", name);
-        fields.emplace_back("table", "cell");
-        fields.emplace_back("family", family);
-        fields.emplace_back("k", std::to_string(k));
-        fields.emplace_back("n", std::to_string(rec.n));
-        fields.emplace_back("run_threads", std::to_string(lanes));
-        fields.emplace_back("rounds", std::to_string(rec.run.time));
-        fields.emplace_back("moves", std::to_string(rec.run.totalMoves));
-        fields.emplace_back("ms", fmt(ms, 1));
-        fields.emplace_back("speedup", fmt(ms > 0.0 ? serialMs / ms : 0.0, 2));
-        fields.emplace_back("hardware_threads", std::to_string(hw));
-        fields.emplace_back("oversubscribed", oversubscribed ? "yes" : "no");
-        fields.emplace_back("dispersed", rec.run.dispersed ? "yes" : "NO");
-        ctx.jsonl->record(fields);
-      }
-    }
-    emitTable(ctx, name, "family: " + family, t);
   }
 }
 

@@ -9,8 +9,7 @@
 // workload — parameterized generators, `file:PATH` graphs, adversarial
 // placements — drops into the same cross-product.  Each point of the
 // cross-product is a *cell*; each cell is simulated once per seed (the
-// seed drives graph construction, placement and the run itself, exactly
-// like the historical bench_common::runCase single-seed path).
+// seed drives graph construction, placement and the run itself).
 // BatchRunner (batch_runner.hpp) executes a spec over a thread pool,
 // sharing each immutable Graph across every run with an equal
 // GraphSpec::instanceKey, and aggregates replicates per cell.
@@ -66,9 +65,6 @@ struct CaseSpec {
   double nOverK = 2.0;  ///< default sizing n = k * nOverK for size-unbound specs
   PortLabeling labeling = PortLabeling::RandomPermutation;
   std::uint64_t limit = 0;  ///< round/activation cap; 0 = auto (RunOptions)
-  /// Intra-run worker lanes (RunOptions::runThreads): 1 = serial, 0 =
-  /// hardware.  SYNC only; facts are lane-count invariant.
-  unsigned runThreads = 1;
   /// Fault load (FaultSpec string, core/faults.hpp; "none" = fault-free).
   std::string faults = "none";
   /// Observer plumbing: when set, invoked on the run's RunOptions right

@@ -7,11 +7,10 @@
 //
 //   coordinates — the keys that identify which cell a row describes
 //                 (sweep, table, family, graph, file, k, l, placement,
-//                 sched, algo, faults, seed, run_threads)
-//   telemetry   — wallclock / throughput / memory / host columns that may
-//                 legitimately differ between attempts (ms, speedup,
-//                 Mact/s, Mmoves/s, load_ms, peak_rss_mb, rss_lb_mb,
-//                 rss_ratio, hardware_threads, oversubscribed, lanes)
+//                 sched, algo, faults, seed)
+//   telemetry   — wallclock / throughput / memory columns that may
+//                 legitimately differ between attempts (ms, Mact/s,
+//                 Mmoves/s, load_ms, peak_rss_mb, rss_lb_mb, rss_ratio)
 //   facts       — everything else: deterministic simulation results
 //
 // Two rows with the same coordinates must agree on every fact column.

@@ -1,10 +1,12 @@
 // Tests for the src/exp/ experiment driver: sweep enumeration, the batch
 // runner's thread-count invariance (bit-identical cells for 1 vs 4+
-// workers), concurrent runDispersion calls on shared Graph instances, and
-// the JSONL sink format.  The *Concurrent* tests are the TSan targets.
+// workers), concurrent runDispersion calls on shared Graph instances, the
+// JSONL sink format, and runBenches' flag check.  The *Concurrent* and
+// *Parallel* tests are the TSan targets.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iostream>
 #include <sstream>
 #include <thread>
 
@@ -14,11 +16,13 @@
 #include "algo/placement.hpp"
 #include "algo/runner.hpp"
 #include "exp/batch_runner.hpp"
+#include "exp/bench_registry.hpp"
 #include "exp/sink.hpp"
 #include "exp/sweep.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/spec.hpp"
+#include "util/cli.hpp"
 
 namespace disp::exp {
 namespace {
@@ -277,132 +281,6 @@ TEST(RunDispersion, ConcurrentRunsOnSharedGraphsAreBitIdentical) {
   }
 }
 
-// The --run-threads contract (DESIGN.md §9): intra-run lanes change
-// wallclock only.  Facts AND the typed trace stream must be byte-identical
-// between serial and 8-lane runs, on every registered protocol — SYNC ones
-// exercise the staged round executor; ASYNC ones pin the documented
-// "ignored" behavior.  Runs under the TSan CI job via the *Parallel* filter.
-TEST(RunThreadsParallel, FactsAndTracesAreLaneCountInvariantOnEveryAlgorithm) {
-  struct Case {
-    const char* algo;
-    const char* placement;
-    std::uint32_t k;
-  };
-  // SYNC sizes cross the engine's parallel staging/commit thresholds
-  // (>=256 staged moves or oscillators per round); ASYNC sizes stay small
-  // (lanes are a no-op there, and epochs are expensive).
-  const Case cases[] = {
-      {"rooted_sync", "rooted", 400},      {"general_sync", "clusters:l=4", 300},
-      {"ks_sync", "rooted", 300},          {"rooted_async", "rooted", 32},
-      {"general_async", "clusters:l=3", 32}, {"ks_async", "rooted", 32},
-  };
-  const auto runWithLanes = [](const Case& c, unsigned lanes,
-                               std::vector<TraceEvent>& events) {
-    RunOptions opts;
-    opts.algorithm = c.algo;
-    opts.seed = 5;
-    opts.runThreads = lanes;
-    opts.onEvent = [&events](const TraceEvent& e) { events.push_back(e); };
-    return runScenario("er", c.placement, c.k, opts);
-  };
-  for (const Case& c : cases) {
-    std::vector<TraceEvent> serialEvents, parallelEvents;
-    const RunResult serial = runWithLanes(c, 1, serialEvents);
-    const RunResult parallel = runWithLanes(c, 8, parallelEvents);
-    expectSameRun(serial, parallel, c.algo);
-    EXPECT_TRUE(serial.dispersed) << c.algo;
-    ASSERT_EQ(serialEvents.size(), parallelEvents.size()) << c.algo;
-    for (std::size_t i = 0; i < serialEvents.size(); ++i) {
-      const TraceEvent& a = serialEvents[i];
-      const TraceEvent& b = parallelEvents[i];
-      const bool same = a.kind == b.kind && a.time == b.time && a.agent == b.agent &&
-                        a.node == b.node && a.a == b.a && a.b == b.b;
-      ASSERT_TRUE(same) << c.algo << " trace event " << i << " drifted";
-    }
-  }
-}
-
-// Lane invariance under fault injection: the fault schedule is drawn up
-// front from the run seed and the fault-aware staging/commit paths are
-// serial, so a crash-restart run reports byte-identical facts, verdicts
-// AND typed event streams (fault events included) at every lane count —
-// on every registered protocol.  SYNC protocols whose belief desyncs
-// report the same protocolError either way.
-TEST(RunThreadsParallel, FaultRunsAreLaneCountInvariantOnEveryAlgorithm) {
-  struct Case {
-    const char* algo;
-    std::uint32_t k;
-    std::uint64_t limit;
-  };
-  const Case cases[] = {
-      {"rooted_sync", 400, 4000},   {"general_sync", 300, 4000},
-      {"ks_sync", 300, 4000},       {"rooted_async", 24, 200000},
-      {"general_async", 24, 200000}, {"ks_async", 24, 200000},
-  };
-  const auto runWithLanes = [](const Case& c, unsigned lanes,
-                               std::vector<TraceEvent>& events) {
-    RunOptions opts;
-    opts.algorithm = c.algo;
-    opts.seed = 17;
-    opts.limit = c.limit;
-    opts.runThreads = lanes;
-    opts.faults = "crash:rate=0.25,restart=64";
-    opts.onEvent = [&events](const TraceEvent& e) { events.push_back(e); };
-    return runScenario("er", "rooted", c.k, opts);
-  };
-  for (const Case& c : cases) {
-    std::vector<TraceEvent> serialEvents, parallelEvents;
-    const RunResult serial = runWithLanes(c, 1, serialEvents);
-    const RunResult parallel = runWithLanes(c, 8, parallelEvents);
-    expectSameRun(serial, parallel, c.algo);
-    EXPECT_EQ(serial.limitHit, parallel.limitHit) << c.algo;
-    EXPECT_EQ(serial.recovered, parallel.recovered) << c.algo;
-    EXPECT_EQ(serial.recoveredAt, parallel.recoveredAt) << c.algo;
-    EXPECT_EQ(serial.faultsInjected, parallel.faultsInjected) << c.algo;
-    EXPECT_EQ(serial.protocolError, parallel.protocolError) << c.algo;
-    EXPECT_GT(serial.faultsInjected, 0u) << c.algo;
-    ASSERT_EQ(serialEvents.size(), parallelEvents.size()) << c.algo;
-    for (std::size_t i = 0; i < serialEvents.size(); ++i) {
-      const TraceEvent& a = serialEvents[i];
-      const TraceEvent& b = parallelEvents[i];
-      const bool same = a.kind == b.kind && a.time == b.time && a.agent == b.agent &&
-                        a.node == b.node && a.a == b.a && a.b == b.b;
-      ASSERT_TRUE(same) << c.algo << " fault-run trace event " << i << " drifted";
-    }
-  }
-}
-
-// BatchOptions.runThreads plumbs through CaseSpec into every run of a
-// sweep; the cells must stay bit-identical to the all-serial sweep.
-TEST(RunThreadsParallel, BatchRunnerSweepIsRunThreadsInvariant) {
-  SweepSpec spec;
-  spec.name = "rt";
-  spec.graphs = {"er"};
-  spec.ks = {300};
-  spec.algorithms = {"rooted_sync"};
-  spec.seeds = {1, 2};
-
-  BatchOptions serialOpts;
-  serialOpts.threads = 1;
-  const SweepResult serial = BatchRunner(serialOpts).run(spec);
-
-  BatchOptions lanedOpts;
-  lanedOpts.threads = 1;  // one axis at a time (disp_bench enforces this)
-  lanedOpts.runThreads = 4;
-  const SweepResult laned = BatchRunner(lanedOpts).run(spec);
-
-  ASSERT_EQ(serial.cells.size(), laned.cells.size());
-  for (std::size_t i = 0; i < serial.cells.size(); ++i) {
-    const Cell& a = serial.cells[i];
-    const Cell& b = laned.cells[i];
-    ASSERT_EQ(a.replicates.size(), b.replicates.size());
-    for (std::size_t r = 0; r < a.replicates.size(); ++r) {
-      expectSameRun(a.replicates[r].run, b.replicates[r].run,
-                    a.key.describe() + " seed=" + std::to_string(spec.seeds[r]));
-    }
-  }
-}
-
 TEST(ParallelFor, CoversEveryIndexOnceAndPropagatesFirstError) {
   std::vector<int> hits(500, 0);
   parallelFor(4, hits.size(), [&](std::size_t i) { ++hits[i]; });
@@ -574,6 +452,71 @@ TEST(BenchContext, SeedsOrFallsBackToHistoricalSeed) {
   EXPECT_EQ(ctx.seedsOr(17), (std::vector<std::uint64_t>{17}));
   ctx.seedOverride = {1, 2, 3};
   EXPECT_EQ(ctx.seedsOr(17), (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
+/// Exit code and captured stdout/stderr of one runBenches call.
+struct BenchRun {
+  int code;
+  std::string out;
+  std::string err;
+};
+
+BenchRun runBenchesWith(const std::vector<std::string>& sweeps,
+                        const std::vector<std::string>& flags) {
+  std::vector<const char*> argv{"disp_bench"};
+  for (const std::string& f : flags) argv.push_back(f.c_str());
+  const Cli cli(static_cast<int>(argv.size()), argv.data());
+  std::ostringstream out, err;
+  struct Redirect {
+    std::ostream& stream;
+    std::streambuf* saved;
+    ~Redirect() { stream.rdbuf(saved); }
+  } redirectOut{std::cout, std::cout.rdbuf(out.rdbuf())},
+      redirectErr{std::cerr, std::cerr.rdbuf(err.rdbuf())};
+  const int code = runBenches(sweeps, cli);
+  return {code, out.str(), err.str()};
+}
+
+// A typo (--seed for --seeds) or a retired flag (--run-threads) must fail
+// with a usage error before any sweep prints a line, not run with the
+// flag silently ignored.
+TEST(RunBenches, RejectsUnknownFlagsBeforeAnySweepRuns) {
+  for (const std::string flag : {"run-threads=4", "seed=3"}) {
+    const BenchRun r = runBenchesWith({"trace_smoke"}, {"--" + flag});
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_EQ(r.out, "") << flag;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(r.err.find("error: unknown flag --" + name + "\n"), std::string::npos)
+        << r.err;
+  }
+}
+
+TEST(RunBenches, AcceptsEveryDocumentedFlag) {
+  // --list-cells returns before anything is simulated or opened, so the
+  // whole documented set passes the flag check in one cheap call.
+  const BenchRun listed = runBenchesWith(
+      {"scenario"},
+      {"--threads=1", "--seeds=1,2", "--jsonl=unused.jsonl", "--trace=unused.jsonl",
+       "--trajectory=unused.csv", "--sample=2", "--graphs=path", "--placements=rooted",
+       "--ks=4", "--faults=none", "--shard=0/1", "--list-cells", "--stream-cells"});
+  EXPECT_EQ(listed.code, 0) << listed.err;
+  EXPECT_NE(listed.out.find("\"sweep\": \"scenario\""), std::string::npos) << listed.out;
+
+  // Real runs: --trace and --trajectory are mutually exclusive, so one each.
+  const std::string jsonl = processTempPath("run_benches_flags", ".jsonl");
+  const std::string trace = processTempPath("run_benches_flags", ".trace.jsonl");
+  const std::string traj = processTempPath("run_benches_flags", ".csv");
+  const std::vector<std::string> common{
+      "--threads=1", "--seeds=1", "--sample=2", "--graphs=path", "--placements=rooted",
+      "--ks=4", "--faults=none", "--shard=0/1", "--jsonl=" + jsonl, "--stream-cells"};
+  for (const std::string& sink : {"--trace=" + trace, "--trajectory=" + traj}) {
+    std::vector<std::string> flags = common;
+    flags.push_back(sink);
+    const BenchRun ran = runBenchesWith({"scenario"}, flags);
+    EXPECT_EQ(ran.code, 0) << sink << ": " << ran.err;
+    EXPECT_NE(ran.out.find("# E17"), std::string::npos) << sink;
+  }
+  for (const std::string& path : {jsonl, trace, traj}) std::filesystem::remove(path);
 }
 
 }  // namespace

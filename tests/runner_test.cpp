@@ -223,6 +223,25 @@ TEST(RunScenario, RunsAdversarialPlacementsOnParameterizedGraphs) {
   EXPECT_TRUE(hot.dispersed);
 }
 
+// Runs are single-threaded: RunOptions::runThreads stays only so callers
+// that pin it to 1 keep building, and runSession rejects any other value
+// instead of ignoring it.
+TEST(RunSession, RejectsRunThreadsOtherThanOne) {
+  const Graph g = makeGraph("er", 32, 3);
+  const Placement p = rootedPlacement(g, 16, 0, 3);
+  for (const char* algo : {"rooted_sync", "rooted_async"}) {
+    RunOptions opts;
+    opts.algorithm = algo;
+    for (const unsigned bad : {0u, 4u}) {
+      opts.runThreads = bad;
+      EXPECT_THROW((void)runSession(g, p, opts), std::invalid_argument)
+          << algo << " runThreads=" << bad;
+    }
+    opts.runThreads = 1;
+    EXPECT_TRUE(runSession(g, p, opts).dispersed) << algo;
+  }
+}
+
 TEST(RunScenario, RejectsMalformedSpecs) {
   EXPECT_THROW((void)runScenario("nope", "rooted", 8), std::invalid_argument);
   EXPECT_THROW((void)runScenario("er", "nope", 8), std::invalid_argument);
