@@ -84,9 +84,9 @@ Placement adversarialFrontierPlacement(const Graph& g, std::uint32_t k,
   DISP_REQUIRE(k >= 1 && k <= g.nodeCount(), "k must be in [1, n]");
   DISP_REQUIRE(clusters >= 1 && clusters <= k, "clusters must be in [1, k]");
   // Deepest BFS levels from node 0 — the corner a lowest-id-rooted
-  // tree-growing phase expands from.  Stable sort on a node-id-ordered
-  // candidate list keeps equal-depth ties in id order: fully deterministic,
-  // no RNG in the positions.
+  // tree-growing phase expands from, equal-depth ties in id order: fully
+  // deterministic, no RNG in the positions.  That order is total, so only
+  // the kept prefix needs sorting.
   const std::vector<std::uint32_t> dist = bfsDistances(g, 0);
   std::vector<NodeId> candidates;
   candidates.reserve(g.nodeCount());
@@ -95,8 +95,10 @@ Placement adversarialFrontierPlacement(const Graph& g, std::uint32_t k,
   }
   DISP_REQUIRE(clusters <= candidates.size(),
                "clusters must be <= the component of node 0");
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&dist](NodeId a, NodeId b) { return dist[a] > dist[b]; });
+  std::partial_sort(candidates.begin(), candidates.begin() + clusters,
+                    candidates.end(), [&dist](NodeId a, NodeId b) {
+                      return dist[a] != dist[b] ? dist[a] > dist[b] : a < b;
+                    });
   candidates.resize(clusters);
 
   Placement p;

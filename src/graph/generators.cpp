@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <queue>
 #include <set>
 #include <stdexcept>
@@ -174,16 +175,26 @@ namespace {
 /// the rng state).  Cross-component edges can never duplicate an existing
 /// edge, so no membership set is needed.
 void connectComponents(GraphBuilder& b, std::uint32_t n, Rng& rng) {
+  // Union by size.  Which node ends up a root does not matter: components
+  // are numbered below by their smallest member.
   std::vector<NodeId> parent(n);
-  for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-  const std::function<NodeId(NodeId)> find = [&](NodeId x) -> NodeId {
+  std::iota(parent.begin(), parent.end(), 0U);
+  std::vector<std::uint32_t> size(n, 1);
+  const auto find = [&parent](NodeId x) {
     while (parent[x] != x) {
       parent[x] = parent[parent[x]];
       x = parent[x];
     }
     return x;
   };
-  for (const Edge& e : b.edges()) parent[find(e.u)] = find(e.v);
+  for (const Edge& e : b.edges()) {
+    NodeId ru = find(e.u);
+    NodeId rv = find(e.v);
+    if (ru == rv) continue;
+    if (size[ru] < size[rv]) std::swap(ru, rv);
+    parent[rv] = ru;
+    size[ru] += size[rv];
+  }
 
   std::vector<std::vector<NodeId>> comps;
   std::vector<std::uint32_t> compIx(n, kInvalidNode);

@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "graph/labeling.hpp"
 #include "util/rng.hpp"
@@ -82,58 +83,113 @@ GraphBuilder& GraphBuilder::addEdge(NodeId u, NodeId v) {
 }
 
 Graph GraphBuilder::build(PortLabeling labeling, std::uint64_t seed) const {
-  std::vector<Port> deg(n_, 0);
-  for (const Edge& e : edges_) {
-    ++deg[e.u];
-    ++deg[e.v];
-  }
-  return buildWithPorts(assignPorts(n_, edges_, deg, labeling, seed));
+  return assemble(labeling, seed, nullptr);
 }
 
 Graph GraphBuilder::buildWithPorts(const std::vector<std::pair<Port, Port>>& ports) const {
   DISP_REQUIRE(ports.size() == edges_.size(), "one port pair per edge required");
-  // Reject duplicate edges (simple graph).  Sort-based instead of a
-  // std::set: ~5x less transient memory and no node churn on large inputs.
-  {
-    std::vector<std::pair<NodeId, NodeId>> seen;
-    seen.reserve(edges_.size());
-    for (const Edge& e : edges_) {
-      const auto key = std::minmax(e.u, e.v);
-      seen.emplace_back(key.first, key.second);
-    }
-    std::sort(seen.begin(), seen.end());
-    DISP_REQUIRE(std::adjacent_find(seen.begin(), seen.end()) == seen.end(),
-                 "duplicate edge (graph is simple)");
-  }
+  return assemble(PortLabeling::InsertionOrder, 0, &ports);
+}
 
-  Graph g;
+// Every pass is O(n + m).  Beside the edge list and the CSR, the only
+// per-edge array is `port`, one entry per slot (a slot is one end of an
+// edge); Constrained adds the per-edge pairs its matching returns.
+Graph GraphBuilder::assemble(PortLabeling labeling, std::uint64_t seed,
+                             const std::vector<std::pair<Port, Port>>* ports) const {
   const std::uint32_t n = n_;
+  Graph g;
   g.edgeCount_ = edges_.size();
 
-  std::vector<Port> deg(n, 0);
+  // Degrees, prefix-summed into row offsets.
+  g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (const Edge& e : edges_) {
-    ++deg[e.u];
-    ++deg[e.v];
+    ++g.offsets_[e.u + 1];
+    ++g.offsets_[e.v + 1];
   }
+  for (NodeId v = 0; v < n; ++v) {
+    g.maxDegree_ = std::max(g.maxDegree_, g.offsets_[v + 1]);
+    g.offsets_[v + 1] += g.offsets_[v];
+  }
+  const auto row = [&g](NodeId v) {
+    return std::pair<std::uint32_t, std::uint32_t>{g.offsets_[v], g.offsets_[v + 1]};
+  };
 
-  g.offsets_.assign(n + 1, 0);
-  for (NodeId v = 0; v < n; ++v) g.offsets_[v + 1] = g.offsets_[v] + deg[v];
-  g.targets_.assign(2 * edges_.size(), kInvalidNode);
-  g.reverse_.assign(2 * edges_.size(), kNoPort);
-  g.maxDegree_ = deg.empty() ? 0 : *std::max_element(deg.begin(), deg.end());
+  {  // Scoped so the build's temporaries are freed before validation.
+    // Each row in insertion order (edge-list order, the order the labelings
+    // have always numbered a node's edges in).  Until the scatter below,
+    // reverse_ holds each slot's twin: the slot of the same edge at the
+    // neighbor.
+    g.targets_.resize(2 * edges_.size());
+    g.reverse_.resize(2 * edges_.size());
+    std::vector<std::uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+    for (const Edge& e : edges_) {
+      const std::uint32_t su = cursor[e.u]++;
+      const std::uint32_t sv = cursor[e.v]++;
+      g.targets_[su] = e.v;
+      g.targets_[sv] = e.u;
+      g.reverse_[su] = sv;
+      g.reverse_[sv] = su;
+    }
 
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    const Edge& e = edges_[i];
-    const auto [pu, pv] = ports[i];
-    DISP_REQUIRE(pu >= 1 && pu <= deg[e.u] && pv >= 1 && pv <= deg[e.v],
-                 "explicit port out of range");
-    DISP_REQUIRE(g.targets_[g.offsets_[e.u] + pu - 1] == kInvalidNode &&
-                     g.targets_[g.offsets_[e.v] + pv - 1] == kInvalidNode,
-                 "explicit ports collide");
-    g.targets_[g.offsets_[e.u] + pu - 1] = e.v;
-    g.targets_[g.offsets_[e.v] + pv - 1] = e.u;
-    g.reverse_[g.offsets_[e.u] + pu - 1] = pv;
-    g.reverse_[g.offsets_[e.v] + pv - 1] = pu;
+    // Simple graph: no neighbor twice in a row.  `cursor` is done, so it
+    // becomes the stamp of the last row that saw each node.
+    std::vector<NodeId>& seenBy = cursor;
+    std::fill(seenBy.begin(), seenBy.end(), kInvalidNode);
+    for (NodeId v = 0; v < n; ++v) {
+      const auto [first, last] = row(v);
+      for (std::uint32_t s = first; s < last; ++s) {
+        DISP_REQUIRE(seenBy[g.targets_[s]] != v, "duplicate edge (graph is simple)");
+        seenBy[g.targets_[s]] = v;
+      }
+    }
+
+    // The port of every slot.
+    std::vector<Port> port(2 * edges_.size());
+    std::vector<std::pair<Port, Port>> constrained;
+    if (ports == nullptr && labeling == PortLabeling::Constrained) {
+      constrained = constrainedPorts(n, edges_, seed);
+      ports = &constrained;
+    }
+    if (ports != nullptr) {
+      // Per-edge pairs land on the edge's two slots, found by replaying the
+      // insertion-order cursors.
+      std::copy(g.offsets_.begin(), g.offsets_.end() - 1, cursor.begin());
+      for (std::size_t i = 0; i < edges_.size(); ++i) {
+        port[cursor[edges_[i].u]++] = (*ports)[i].first;
+        port[cursor[edges_[i].v]++] = (*ports)[i].second;
+      }
+    } else {
+      // Each row numbered 1..deg in insertion order.  RandomPermutation then
+      // shuffles every row in node order with one Rng: the draws of the
+      // historical rng.permutation(deg v) per node.
+      Rng rng(seed ^ 0xbadc0ffee0ddf00dULL);
+      for (NodeId v = 0; v < n; ++v) {
+        const auto [first, last] = row(v);
+        std::iota(port.begin() + first, port.begin() + last, 1U);
+        if (labeling == PortLabeling::RandomPermutation) {
+          rng.shuffle(std::span(port).subspan(first, last - first));
+        }
+      }
+    }
+
+    // Scatter each row into port order.  The reverse port of a slot is the
+    // port of its twin.
+    std::vector<NodeId> rowTargets(g.maxDegree_);
+    std::vector<Port> rowReverse(g.maxDegree_);
+    for (NodeId v = 0; v < n; ++v) {
+      const auto [first, last] = row(v);
+      const Port d = last - first;
+      std::fill_n(rowTargets.begin(), d, kInvalidNode);
+      for (std::uint32_t s = first; s < last; ++s) {
+        const Port p = port[s];
+        DISP_REQUIRE(p >= 1 && p <= d, "explicit port out of range");
+        DISP_REQUIRE(rowTargets[p - 1] == kInvalidNode, "explicit ports collide");
+        rowTargets[p - 1] = g.targets_[s];
+        rowReverse[p - 1] = port[g.reverse_[s]];
+      }
+      std::copy_n(rowTargets.begin(), d, g.targets_.begin() + first);
+      std::copy_n(rowReverse.begin(), d, g.reverse_.begin() + first);
+    }
   }
 
   validateGraph(g);
@@ -210,10 +266,19 @@ bool satisfiesConstrainedLabeling(const Graph& g) {
   return true;
 }
 
+// One pass.  Every half-edge (v, p) gets the local checks: its neighbor u
+// exists, is not v, and is not already in v's row (a stamp per node, not a
+// sort per row).  Reverse ports are checked only from the lower endpoint
+// (v < u): (v, p) must pair with the half-edge (u, q), q = reversePort(v, p),
+// that leads back to v through port p.  That pairing maps lower half-edges
+// to upper ones injectively ((u, q) names v and p back), so once there are
+// exactly m lower half-edges among 2m in all, it is a bijection and every
+// upper half-edge is the checked twin of a lower one.
 void validateGraph(const Graph& g) {
   const std::uint32_t n = g.nodeCount();
   std::uint64_t halfEdges = 0;
-  std::vector<NodeId> scratch;
+  std::uint64_t lowerHalfEdges = 0;
+  std::vector<NodeId> seenBy(n, kInvalidNode);
   for (NodeId v = 0; v < n; ++v) {
     const Port d = g.degree(v);
     halfEdges += d;
@@ -221,19 +286,18 @@ void validateGraph(const Graph& g) {
       const NodeId u = g.neighbor(v, p);
       DISP_CHECK(u < n, "dangling neighbor");
       DISP_CHECK(u != v, "self-loop");
+      DISP_CHECK(seenBy[u] != v, "parallel edge");
+      seenBy[u] = v;
+      if (u < v) continue;
+      ++lowerHalfEdges;
       const Port q = g.reversePort(v, p);
       DISP_CHECK(q >= 1 && q <= g.degree(u), "reverse port out of range");
       DISP_CHECK(g.neighbor(u, q) == v, "reverse port does not return");
       DISP_CHECK(g.reversePort(u, q) == p, "reverse port not symmetric");
     }
-    const std::span<const NodeId> row = g.neighbors(v);
-    scratch.assign(row.begin(), row.end());
-    std::sort(scratch.begin(), scratch.end());
-    DISP_CHECK(std::adjacent_find(scratch.begin(), scratch.end()) ==
-                   scratch.end(),
-               "parallel edge");
   }
   DISP_CHECK(halfEdges == 2 * g.edgeCount(), "edge count mismatch");
+  DISP_CHECK(lowerHalfEdges == g.edgeCount(), "reverse ports do not pair every half-edge");
 }
 
 }  // namespace disp

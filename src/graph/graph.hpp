@@ -113,25 +113,35 @@ class GraphBuilder {
  public:
   explicit GraphBuilder(std::uint32_t nodeCount) : n_(nodeCount) {}
 
-  /// Adds an undirected edge; rejects self-loops and duplicates.
+  /// Adds an undirected edge; rejects self-loops and out-of-range endpoints.
+  /// Duplicate edges are rejected when the graph is built.
   GraphBuilder& addEdge(NodeId u, NodeId v);
 
   [[nodiscard]] std::uint32_t nodeCount() const noexcept { return n_; }
   [[nodiscard]] const std::vector<Edge>& edges() const noexcept { return edges_; }
 
   /// Materializes the CSR graph with the requested labeling. `seed` drives
-  /// the permutations for RandomPermutation / Constrained.
+  /// the permutations for RandomPermutation / Constrained.  Throws
+  /// std::invalid_argument on a duplicate edge, or when the graph admits no
+  /// Constrained labeling.
   [[nodiscard]] Graph build(PortLabeling labeling = PortLabeling::InsertionOrder,
                             std::uint64_t seed = 0) const;
 
   /// Materializes the CSR graph with explicit ports: ports[i] = (port at
   /// edges()[i].u, port at edges()[i].v).  Ports must form the permutation
-  /// 1..δ at every node.  Used by graph I/O to reproduce labelings exactly
-  /// (not every valid labeling is reachable by insertion order).
+  /// 1..δ at every node (std::invalid_argument otherwise, or on a duplicate
+  /// edge).  Used by graph I/O to reproduce labelings exactly (not every
+  /// valid labeling is reachable by insertion order).
   [[nodiscard]] Graph buildWithPorts(
       const std::vector<std::pair<Port, Port>>& ports) const;
 
  private:
+  /// The one construction core behind build and buildWithPorts.  Explicit
+  /// `ports` (one pair per edge) take the place of `labeling` when given.
+  [[nodiscard]] Graph assemble(
+      PortLabeling labeling, std::uint64_t seed,
+      const std::vector<std::pair<Port, Port>>* ports) const;
+
   std::uint32_t n_;
   std::vector<Edge> edges_;
 };
@@ -141,15 +151,16 @@ class GraphBuilder {
 /// addEdge() for the same edges — and the builder emits offsets_/targets_/
 /// reverse_ directly with insertion-order ports.  No intermediate edge
 /// vector: peak transient memory is the CSR itself plus one u32 cursor per
-/// node, versus GraphBuilder's ~3x (edge vector + per-edge port pairs).
+/// node, versus GraphBuilder's ~2x (its edge vector and per-slot port array
+/// on top of the CSR).
 ///
 /// Produces bit-identically the graph GraphBuilder::build(InsertionOrder)
 /// produces for the same edge sequence (a port is the per-node arrival
 /// index of the edge, which is exactly what the write cursors assign).
 /// Self-loops are rejected; duplicate rejection is the caller's job (the
 /// streaming loaders detect duplicates on their sorted rows before pass
-/// two), so finish() skips the O(m log m) validateGraph pass — the fuzz
-/// suite pins equivalence against the validating builder instead.
+/// two), so finish() skips the validateGraph pass — the fuzz suite pins
+/// equivalence against the validating builder instead.
 class TwoPassBuilder {
  public:
   explicit TwoPassBuilder(std::uint32_t nodeCount);
@@ -182,7 +193,8 @@ class TwoPassBuilder {
 [[nodiscard]] bool satisfiesConstrainedLabeling(const Graph& g);
 
 /// Structural sanity: CSR consistency, symmetric reverse ports, simplicity.
-/// Throws std::logic_error on violation; used by tests.
+/// Throws std::logic_error on violation.  Every GraphBuilder build ends with
+/// it; tests also run it on graphs from the other builders.
 void validateGraph(const Graph& g);
 
 }  // namespace disp

@@ -15,7 +15,7 @@ namespace {
 
 /// Incidence in CSR form: for each node, the indices of its incident edges
 /// in ascending edge order (the same per-node order the historical
-/// vector-of-vectors produced, so every labeling below draws identical Rng
+/// vector-of-vectors produced, so the labeling below draws identical Rng
 /// streams).  Two flat arrays instead of n vector headers — at web scale
 /// the headers alone were ~24 bytes per node of pure overhead.
 struct IncidenceCsr {
@@ -24,6 +24,9 @@ struct IncidenceCsr {
 
   [[nodiscard]] std::span<const std::uint32_t> at(std::uint32_t v) const {
     return {slots.data() + offsets[v], slots.data() + offsets[v + 1]};
+  }
+  [[nodiscard]] std::uint32_t degree(std::uint32_t v) const {
+    return offsets[v + 1] - offsets[v];
   }
 };
 
@@ -44,39 +47,6 @@ IncidenceCsr incidence(std::uint32_t n, const std::vector<Edge>& edges) {
   return inc;
 }
 
-std::vector<std::pair<Port, Port>> insertionOrderPorts(std::uint32_t n,
-                                                       const std::vector<Edge>& edges) {
-  std::vector<Port> nextPort(n, 1);
-  std::vector<std::pair<Port, Port>> out(edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    out[i] = {nextPort[edges[i].u]++, nextPort[edges[i].v]++};
-  }
-  return out;
-}
-
-std::vector<std::pair<Port, Port>> randomPorts(std::uint32_t n,
-                                               const std::vector<Edge>& edges,
-                                               const std::vector<Port>& deg,
-                                               std::uint64_t seed) {
-  Rng rng(seed ^ 0xbadc0ffee0ddf00dULL);
-  std::vector<std::pair<Port, Port>> out(edges.size());
-  const auto inc = incidence(n, edges);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const auto perm = rng.permutation(deg[v]);
-    const auto iv = inc.at(v);
-    for (std::size_t slot = 0; slot < iv.size(); ++slot) {
-      const std::uint32_t e = iv[slot];
-      const Port p = perm[slot] + 1;
-      if (edges[e].u == v) {
-        out[e].first = p;
-      } else {
-        out[e].second = p;
-      }
-    }
-  }
-  return out;
-}
-
 /// Matches two distinct incident edges to every node of degree >= 3 such
 /// that no edge is chosen by both endpoints (Kuhn's augmenting paths; left
 /// side = "low-port slots", two per high-degree node; right side = edges).
@@ -85,12 +55,12 @@ std::vector<std::pair<Port, Port>> randomPorts(std::uint32_t n,
 /// low slots but only 6 edges exist.
 std::vector<std::vector<std::uint32_t>> matchLowSlots(
     std::uint32_t n, const std::vector<Edge>& edges, const IncidenceCsr& inc,
-    const std::vector<Port>& deg, std::uint64_t seed) {
+    std::uint64_t seed) {
   Rng rng(seed ^ 0x51077ca7c4e5ULL);
 
   std::vector<std::uint32_t> leftNode;  // left index -> node (two slots/node)
   for (std::uint32_t v = 0; v < n; ++v) {
-    if (deg[v] >= 3) {
+    if (inc.degree(v) >= 3) {
       leftNode.push_back(v);
       leftNode.push_back(v);
     }
@@ -103,7 +73,7 @@ std::vector<std::vector<std::uint32_t>> matchLowSlots(
   // (still valid) labelings.
   std::vector<std::vector<std::uint32_t>> pref(n);
   for (std::uint32_t v = 0; v < n; ++v) {
-    if (deg[v] >= 3) {
+    if (inc.degree(v) >= 3) {
       const auto iv = inc.at(v);
       pref[v].assign(iv.begin(), iv.end());
       rng.shuffle(pref[v]);
@@ -142,18 +112,19 @@ std::vector<std::vector<std::uint32_t>> matchLowSlots(
     }
   }
   for (std::uint32_t v = 0; v < n; ++v) {
-    DISP_CHECK(deg[v] < 3 || marks[v].size() == 2, "low-slot matching incomplete");
+    DISP_CHECK(inc.degree(v) < 3 || marks[v].size() == 2, "low-slot matching incomplete");
   }
   return marks;
 }
 
+}  // namespace
+
 std::vector<std::pair<Port, Port>> constrainedPorts(std::uint32_t n,
                                                     const std::vector<Edge>& edges,
-                                                    const std::vector<Port>& deg,
                                                     std::uint64_t seed) {
   Rng rng(seed ^ 0xc057a17edULL);
   const auto inc = incidence(n, edges);
-  const auto marks = matchLowSlots(n, edges, inc, deg, seed);
+  const auto marks = matchLowSlots(n, edges, inc, seed);
 
   std::vector<std::pair<Port, Port>> out(edges.size());
   for (std::uint32_t v = 0; v < n; ++v) {
@@ -166,7 +137,7 @@ std::vector<std::pair<Port, Port>> constrainedPorts(std::uint32_t n,
     };
 
     const auto iv = inc.at(v);
-    if (deg[v] >= 3) {
+    if (inc.degree(v) >= 3) {
       // Ports 1..2 go to the two marked edges; the rest get a random
       // permutation of ports 3..deg.
       std::vector<std::uint32_t> low = marks[v];
@@ -186,25 +157,6 @@ std::vector<std::pair<Port, Port>> constrainedPorts(std::uint32_t n,
     }
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<std::pair<Port, Port>> assignPorts(std::uint32_t nodeCount,
-                                               const std::vector<Edge>& edges,
-                                               const std::vector<Port>& deg,
-                                               PortLabeling labeling,
-                                               std::uint64_t seed) {
-  switch (labeling) {
-    case PortLabeling::InsertionOrder:
-      return insertionOrderPorts(nodeCount, edges);
-    case PortLabeling::RandomPermutation:
-      return randomPorts(nodeCount, edges, deg, seed);
-    case PortLabeling::Constrained:
-      return constrainedPorts(nodeCount, edges, deg, seed);
-  }
-  DISP_CHECK(false, "unknown labeling");
-  return {};
 }
 
 }  // namespace disp

@@ -1,10 +1,10 @@
 #pragma once
-// Port-label assignment strategies (see Graph::PortLabeling).
+// The Constrained port labeling (see PortLabeling).
 //
-// The Constrained strategy implements the §8.2 model assumption needed by
-// the ASYNC general algorithm: for any edge (u,v), the two ports must not be
-// labelled (1,1), (1,2), (2,1) or (2,2), except where low degree forces a
-// low port (degree-1 nodes only have port 1; degree-2 nodes only ports 1,2).
+// It implements the §8.2 model assumption needed by the ASYNC general
+// algorithm: for any edge (u,v), the two ports must not be labelled (1,1),
+// (1,2), (2,1) or (2,2), except where low degree forces a low port
+// (degree-1 nodes only have port 1; degree-2 nodes only ports 1,2).
 
 #include <cstdint>
 #include <utility>
@@ -14,10 +14,11 @@
 
 namespace disp {
 
-/// For each edge i, returns (port at edges[i].u, port at edges[i].v).
-/// deg[v] is the degree of v (consistent with `edges`).
-[[nodiscard]] std::vector<std::pair<Port, Port>> assignPorts(
-    std::uint32_t nodeCount, const std::vector<Edge>& edges,
-    const std::vector<Port>& deg, PortLabeling labeling, std::uint64_t seed);
+/// The Constrained labeling: for each edge i, returns (port at edges[i].u,
+/// port at edges[i].v).  Throws std::invalid_argument when the graph admits
+/// no such labeling.  (InsertionOrder and RandomPermutation need no
+/// matching; GraphBuilder assigns them per CSR slot directly.)
+[[nodiscard]] std::vector<std::pair<Port, Port>> constrainedPorts(
+    std::uint32_t nodeCount, const std::vector<Edge>& edges, std::uint64_t seed);
 
 }  // namespace disp

@@ -51,11 +51,13 @@ class Rng {
   /// Uniform integer in [0, bound).  bound must be positive.
   [[nodiscard]] std::uint64_t below(std::uint64_t bound) {
     DISP_REQUIRE(bound > 0, "bound must be positive");
-    // Lemire-style rejection to avoid modulo bias.
-    const std::uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) mod bound
+    // Rejection to avoid modulo bias: accept r >= (2^64 - bound) mod bound.
+    // That threshold is below bound, so any r >= bound passes without the
+    // second modulo; only r < bound needs it.
     for (;;) {
       const std::uint64_t r = (*this)();
-      if (r >= threshold) return r % bound;
+      if (r >= bound) return r % bound;
+      if (r >= (~bound + 1) % bound) return r;
     }
   }
 
@@ -74,10 +76,10 @@ class Rng {
   /// true with probability p.
   [[nodiscard]] bool chance(double p) { return real01() < p; }
 
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& items) {
-    for (std::size_t i = items.size(); i > 1; --i) {
+  /// Fisher–Yates shuffle of a vector or a span.
+  template <typename Range>
+  void shuffle(Range&& items) {
+    for (std::size_t i = std::size(items); i > 1; --i) {
       const std::size_t j = static_cast<std::size_t>(below(i));
       using std::swap;
       swap(items[i - 1], items[j]);

@@ -3,6 +3,7 @@
 // memory ledger, placements.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -430,6 +431,31 @@ TEST(PlacementSpec, KindsMapToTheFreeFunctions) {
      adversarialFarPlacement(g, 9, 3, 7));
   eq(PlacementSpec::parse("adversarial:frontier,l=3").place(g, 9, 7),
      adversarialFrontierPlacement(g, 9, 3, 7));
+}
+
+TEST(Placement, FrontierMatchesStableSortReference) {
+  // The historical rule: stable-sort every node reachable from node 0 by
+  // BFS depth, deepest first (ties in id order), and keep the first l.
+  for (const char* spec : {"er", "randtree", "grid", "ba"}) {
+    for (const std::uint64_t seed : {3ULL, 8ULL}) {
+      const Graph g = makeGraph(spec, 300, seed);
+      const std::vector<std::uint32_t> dist = bfsDistances(g, 0);
+      std::vector<NodeId> order;
+      for (NodeId v = 0; v < g.nodeCount(); ++v) {
+        if (dist[v] != kUnreachable) order.push_back(v);
+      }
+      std::stable_sort(order.begin(), order.end(),
+                       [&dist](NodeId a, NodeId b) { return dist[a] > dist[b]; });
+      for (const std::uint32_t l : {1U, 2U, 3U, 7U, 40U}) {
+        const Placement p = adversarialFrontierPlacement(g, 80, l, seed);
+        ASSERT_EQ(p.positions.size(), 80u);
+        for (std::uint32_t a = 0; a < 80; ++a) {
+          EXPECT_EQ(p.positions[a], order[a % l])
+              << spec << " seed " << seed << " l " << l << " agent " << a;
+        }
+      }
+    }
+  }
 }
 
 TEST(PlacementSpec, TableLabelsMatchHistoricalClusterColumn) {

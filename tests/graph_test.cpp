@@ -27,15 +27,227 @@ TEST(GraphBuilder, RejectsSelfLoop) {
   EXPECT_THROW(b.addEdge(1, 1), std::invalid_argument);
 }
 
-TEST(GraphBuilder, RejectsDuplicateEdge) {
-  GraphBuilder b(3);
-  b.addEdge(0, 1).addEdge(1, 2).addEdge(1, 0);
-  EXPECT_THROW((void)b.build(), std::invalid_argument);
-}
-
 TEST(GraphBuilder, RejectsOutOfRange) {
   GraphBuilder b(2);
   EXPECT_THROW(b.addEdge(0, 5), std::invalid_argument);
+}
+
+// Asserts that `fn` throws std::invalid_argument whose message contains
+// `needle` (loader errors name source:line, so a needle can pin that).
+template <typename Fn>
+void expectParseError(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+    FAIL() << "expected std::invalid_argument mentioning '" << needle << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "message was: " << e.what();
+  }
+}
+
+TEST(GraphBuilder, RejectsDuplicateEdge) {
+  // A star with one spoke repeated (reversed), under every labeling and
+  // with explicit ports that are otherwise a permutation at every node.
+  GraphBuilder b(5);
+  b.addEdge(0, 1).addEdge(0, 2).addEdge(0, 3).addEdge(0, 4).addEdge(2, 0);
+  for (const PortLabeling l : {PortLabeling::InsertionOrder,
+                               PortLabeling::RandomPermutation,
+                               PortLabeling::Constrained}) {
+    expectParseError([&] { (void)b.build(l, 3); },
+                     "duplicate edge (graph is simple)");
+  }
+  expectParseError(
+      [&] { (void)b.buildWithPorts({{1, 1}, {2, 1}, {3, 1}, {4, 1}, {2, 5}}); },
+      "duplicate edge (graph is simple)");
+}
+
+TEST(GraphBuilder, BuildWithPortsRejectsBadPorts) {
+  // Path 0-1-2: node 1 has degree 2, nodes 0 and 2 degree 1.
+  GraphBuilder b(3);
+  b.addEdge(0, 1).addEdge(1, 2);
+  const Graph ok = b.buildWithPorts({{1, 2}, {1, 1}});
+  EXPECT_EQ(ok.neighbor(1, 1), 2u);
+  EXPECT_EQ(ok.neighbor(1, 2), 0u);
+  EXPECT_EQ(ok.reversePort(0, 1), 2u);
+  expectParseError([&] { (void)b.buildWithPorts({{1, 3}, {1, 1}}); },
+                   "explicit port out of range");
+  expectParseError([&] { (void)b.buildWithPorts({{0, 2}, {1, 1}}); },
+                   "explicit port out of range");
+  expectParseError([&] { (void)b.buildWithPorts({{1, 2}, {2, 1}}); },
+                   "explicit ports collide");
+  expectParseError([&] { (void)b.buildWithPorts({{1, 1}}); },
+                   "one port pair per edge required");
+}
+
+// FNV-1a over (n, m, and per node its degree, then every port's neighbor
+// and reverse port), read through the public accessors: the CSR offsets,
+// targets and reverse ports, independent of how they are stored.
+std::uint64_t csrHash(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(g.nodeCount());
+  mix(g.edgeCount());
+  for (NodeId v = 0; v < g.nodeCount(); ++v) {
+    mix(g.degree(v));
+    for (Port p = 1; p <= g.degree(v); ++p) {
+      mix(g.neighbor(v, p));
+      mix(g.reversePort(v, p));
+    }
+  }
+  return h;
+}
+
+// Hash of every graph below under {InsertionOrder, RandomPermutation,
+// Constrained} x seeds {1, 2}; kNoLabeling marks a graph that admits no
+// Constrained labeling (the build must throw).  A different hash means a
+// different generated workload: every recorded fact rests on these graphs.
+constexpr std::uint64_t kNoLabeling = 0;
+struct GoldenFamily {
+  const char* spec;
+  std::uint32_t n;
+  std::uint64_t hash[6];
+};
+constexpr GoldenFamily kGoldenFamilies[] = {
+    {"path", 50, {0xd17519e8354cd7d7ULL, 0xd17519e8354cd7d7ULL, 0x1135920f4511a9d7ULL,
+                  0x44bc07c452a32bd7ULL, 0xaa4bd0b262c8d617ULL, 0xa2b383709f5b5cd7ULL}},
+    {"path", 700, {0x3567d5b06dbde03fULL, 0x3567d5b06dbde03fULL, 0x2f6fd32ce0d539c3ULL,
+                   0xc7585b73ea32e7afULL, 0x46d9dcce3a593e1fULL, 0x6dd371a0858dbdafULL}},
+    {"cycle", 50, {0x32509d4a17b25705ULL, 0x32509d4a17b25705ULL, 0x54063a3e3abefa45ULL,
+                   0xe68171180671e045ULL, 0x7d177b1c7672a7c5ULL, 0x489e044f81d93645ULL}},
+    {"cycle", 700, {0x0778feffc4811361ULL, 0x0778feffc4811361ULL, 0x95131cd6501459adULL,
+                    0x4107a3dbffc53239ULL, 0x1851b993ef918009ULL, 0xa19dd3859ab51ef5ULL}},
+    {"star", 50, {0x73be4adad1c94297ULL, 0x73be4adad1c94297ULL, 0x60af5e66b32d1ed7ULL,
+                  0xdde3c671414f4e97ULL, 0x7241d473a6de2997ULL, 0x0a414f2247d6d3b7ULL}},
+    {"star", 700, {0x94283f5555de5fcfULL, 0x94283f5555de5fcfULL, 0x2994acb0c012629fULL,
+                   0xd0bfd2bc70699e03ULL, 0x74ed85b2861e7edfULL, 0xb53eb7c64c08e097ULL}},
+    {"wheel", 50, {0xb0b4a16ba28ad1a7ULL, 0xb0b4a16ba28ad1a7ULL, 0xc9f9a3b4a4dc7fe7ULL,
+                   0x5ae43b9da3ae4227ULL, kNoLabeling, kNoLabeling}},
+    {"wheel", 700, {0x8d7ec79c98647408ULL, 0x8d7ec79c98647408ULL, 0xc84d4db66f6ca268ULL,
+                    0xa789341bc0f6ae70ULL, kNoLabeling, kNoLabeling}},
+    {"complete", 24, {0xbf22bdb60050528eULL, 0xbf22bdb60050528eULL, 0x0c15714e6a25f7ceULL,
+                      0xed7e8f5798ec94eeULL, 0x6df23dea5d39a88eULL, 0x92ad5b45c41c6cceULL}},
+    {"complete", 60, {0x5428768da44b62d5ULL, 0x5428768da44b62d5ULL, 0x862dd02f3d3916d5ULL,
+                      0xd642e4160b7a6195ULL, 0x2b4219c6d893adf5ULL, 0x60e82f56d7d69a95ULL}},
+    {"bipartite", 30, {0x3c5ce949e5c340bbULL, 0x3c5ce949e5c340bbULL, 0x6abd02046814661bULL,
+                       0xc94276fb003941dbULL, 0xe6b6d9bd641c9c7bULL, 0xdfe3b9b8d75dd41bULL}},
+    {"bipartite", 90, {0x17a7206aa2a58366ULL, 0x17a7206aa2a58366ULL, 0x526691bed7a1eec6ULL,
+                       0x7073e3db3fcde066ULL, 0x83e76a36fc4e8786ULL, 0xec02f796d92a90c6ULL}},
+    {"bintree", 63, {0x119854460035d07aULL, 0x119854460035d07aULL, 0xadd8f4157f4f6f1aULL,
+                     0xc430a8d6b46c62baULL, 0xe87c2b55f0329a3aULL, 0xc9deb95506fda97aULL}},
+    {"bintree", 1000, {0x600ced9585033cfaULL, 0x600ced9585033cfaULL, 0x436831cc0a0c6f76ULL,
+                       0xf441ae44e5a3dac6ULL, 0x5ba3dd0e7ddcc7c2ULL, 0x1c022b32bbde521eULL}},
+    {"randtree", 80, {0x669c88393daebfbaULL, 0x63f326b315d37e2fULL, 0xf789b57963b93e3aULL,
+                      0xf3cb76c43343af8fULL, 0xde32bb2f3edc3a3aULL, 0xf02a9af1f41254cfULL}},
+    {"randtree", 1000, {0x68b91755c9233746ULL, 0x7e6821ec370d1f8dULL, 0x90f418eab6202006ULL,
+                        0x9dba7e063173ca0dULL, 0x121269d01cea6cc2ULL, 0xb42155d52513ec45ULL}},
+    {"caterpillar", 60, {0x54d5f231f80ae328ULL, 0x54d5f231f80ae328ULL, 0x84e139aee7b6dce8ULL,
+                         0xcf80cbafe5889048ULL, 0xba414a7b7e9beae8ULL, 0x37e5583a65b0a908ULL}},
+    {"caterpillar", 800, {0xa152117f7eafe531ULL, 0xa152117f7eafe531ULL, 0xeff5cc75043a6c3dULL,
+                          0xdc38c9144298822dULL, 0x624fd2cbcc1384b1ULL, 0x9e103ce54f3807f5ULL}},
+    {"grid", 49, {0x5d7f316cd44d8c40ULL, 0x5d7f316cd44d8c40ULL, 0xadbb18b4e0888500ULL,
+                  0x8c9625cfa0ca22c0ULL, kNoLabeling, kNoLabeling}},
+    {"grid", 900, {0x19cad86c5f2710b7ULL, 0x19cad86c5f2710b7ULL, 0xda317b2a8ef91e0bULL,
+                   0x9db5684227cdcb0bULL, kNoLabeling, kNoLabeling}},
+    {"hypercube", 32, {0x724cd5244443f195ULL, 0x724cd5244443f195ULL, 0xdc72771e3d251cb5ULL,
+                       0xc5e7059c30d480b5ULL, 0xc1af5ab0159681f5ULL, 0xde7475e65e5cf335ULL}},
+    {"hypercube", 1024, {0x4a4c1f719ee1f725ULL, 0x4a4c1f719ee1f725ULL, 0xdfdeacd50b0b5eedULL,
+                         0x400bfe540aae6cd5ULL, 0xa5acd482229a276dULL, 0x5503475ac05b48f9ULL}},
+    {"er", 100, {0xe90fe36e7cb938c6ULL, 0xff4d0f7e44821620ULL, 0x6671782391ea9fc6ULL,
+                 0x5bfcfda4b874d5e0ULL, 0xc057df015c341d46ULL, 0x1bcf87397c4c0e80ULL}},
+    {"er", 800, {0x0cd47b6dec42efdfULL, 0xe880387922bb2565ULL, 0xe03d40d2ab55087bULL,
+                 0x584c85608546d05dULL, 0xfb5bf31420fe0387ULL, 0x185e3f672f049a15ULL}},
+    {"ba", 100, {0x2fdd1419d4676094ULL, 0xa11841e792845ed2ULL, 0x0e49e9d80ddba9f4ULL,
+                 0x2036245744e300f2ULL, 0xe425992cdfc97794ULL, 0x78de41ec57dfe2f2ULL}},
+    {"ba", 1000, {0x5c77d36e546c8797ULL, 0x39f342089f69947cULL, 0xbd03c7ee1b0f07ebULL,
+                  0xc0775346cbb32b28ULL, 0xf0bf8be68db5acf3ULL, 0xa9909f2b6d261edcULL}},
+    {"rmat", 128, {0x10f21d80d9890658ULL, 0xb496639a58cf3985ULL, 0xd2d1b52132062cb8ULL,
+                   0xc05802c051add785ULL, 0x830b730e2e0d77d8ULL, 0x0bbf152f800048a5ULL}},
+    {"rmat", 1024, {0xc1564b789a1e1b40ULL, 0x0baf9f717ca935c0ULL, 0x4eb9cf37c3189ce8ULL,
+                    0x153eae03c0d62a44ULL, 0x74daab7a4c828e48ULL, 0x34b94dd50152f01cULL}},
+    {"regular", 60, {0x4c242909d0a993e1ULL, 0xd043291fc5e99341ULL, 0x2239f765c9d6ddc1ULL,
+                     0x8cea36a0401247e1ULL, 0xe1d41c8cf0e665e1ULL, 0xdaec49182d800b41ULL}},
+    {"regular", 600, {0xcc54b69cab8bbf6bULL, 0xcd6fe24c80de0193ULL, 0xdabf05e3448072d7ULL,
+                      0x8cb47633853f50f7ULL, 0xb9a5f4da01d18233ULL, 0x7f964cc75400de9fULL}},
+    {"lollipop", 40, {0xff0914a1618ff539ULL, 0xff0914a1618ff539ULL, 0x143efda2113805d9ULL,
+                      0xf74b412f56c49879ULL, 0x8f0ce6fc6bb254d9ULL, 0x96f9a678cfbf35f9ULL}},
+    {"lollipop", 300, {0x683672925f565267ULL, 0x683672925f565267ULL, 0x041285830cae33b3ULL,
+                       0x84aa09f1011493bbULL, 0xc925b9d713605507ULL, 0xf4c7e4ea91cc1c13ULL}},
+    {"barbell", 36, {0x8ffbda4c4f8f86e3ULL, 0x8ffbda4c4f8f86e3ULL, 0x0e13f383642d23e3ULL,
+                     0x25ffadf678b3e703ULL, 0x072b51ed4e47b6a3ULL, 0xf636252c1db30cc3ULL}},
+    {"barbell", 300, {0xef37da72e2ccf831ULL, 0xef37da72e2ccf831ULL, 0x47a36fa263aa7341ULL,
+                      0xc40fe3e0ceb6e165ULL, 0x4520e3cc2868c29dULL, 0x010b132cfbbb6aedULL}},
+    {"expander", 64, {0xe15e722f6441b28aULL, 0x39056b6751c39b0aULL, 0x160a19df2cb244eaULL,
+                      0xf626afb65de224caULL, 0xb120285a8cf7904aULL, 0x0e4c5d4e6cd0f28aULL}},
+    {"expander", 1000, {0x525b217307d3def1ULL, 0xd22281bf6dff4dbdULL, 0x5fa007a162028af5ULL,
+                        0xaa92d44e7b178cfdULL, 0x07a856e34f77de8dULL, 0x524433c3338e745dULL}},
+};
+
+// Random labeling only: the web-scale sampler, and two sparse specs whose
+// edge lists leave many components for connectComponents to join.
+struct GoldenSpec {
+  const char* spec;
+  std::uint32_t n;
+  std::uint64_t seed;
+  std::uint64_t hash;
+};
+constexpr GoldenSpec kGoldenSpecs[] = {
+    {"er:fast=1", 16384, 7, 0x6a252d01f8ad2642ULL},
+    {"er:fast=1,p=0.0005", 4096, 3, 0xc105c815eac7a8ddULL},
+    {"rmat:ef=2", 2048, 5, 0x456ff08c4a3af1b7ULL},
+};
+
+TEST(GraphBuild, GoldenCsrHashes) {
+  const PortLabeling labelings[] = {PortLabeling::InsertionOrder,
+                                    PortLabeling::RandomPermutation,
+                                    PortLabeling::Constrained};
+  for (const GoldenFamily& f : kGoldenFamilies) {
+    for (int i = 0; i < 6; ++i) {
+      const PortLabeling l = labelings[i / 2];
+      const std::uint64_t seed = 1 + i % 2;
+      SCOPED_TRACE(std::string(f.spec) + " n=" + std::to_string(f.n) +
+                   " labeling=" + std::to_string(i / 2) +
+                   " seed=" + std::to_string(seed));
+      if (f.hash[i] == kNoLabeling) {
+        EXPECT_THROW((void)makeGraph(f.spec, f.n, seed, l), std::invalid_argument);
+      } else {
+        EXPECT_EQ(csrHash(makeGraph(f.spec, f.n, seed, l)), f.hash[i]);
+      }
+    }
+  }
+  for (const GoldenSpec& s : kGoldenSpecs) {
+    SCOPED_TRACE(s.spec);
+    EXPECT_EQ(csrHash(makeGraph(s.spec, s.n, s.seed)), s.hash);
+  }
+  // A .dpg load goes through buildWithPorts and must reproduce the saved
+  // graph exactly.
+  const Graph er = makeGraph("er", 60, 5);
+  std::stringstream ss;
+  writeGraph(ss, er);
+  EXPECT_EQ(csrHash(er), 0xc019c0c5fa865e1dULL);
+  EXPECT_EQ(csrHash(readGraph(ss)), 0xc019c0c5fa865e1dULL);
+}
+
+TEST(GraphBuild, ValidateRejectsParallelEdges) {
+  // TwoPassBuilder leaves duplicate rejection to its callers, so it can
+  // hand validateGraph a multigraph.
+  const std::vector<Edge> multi{{0, 1}, {1, 2}, {1, 0}};
+  TwoPassBuilder tp(3);
+  for (const Edge& e : multi) tp.countEdge(e.u, e.v);
+  tp.beginEdges();
+  for (const Edge& e : multi) tp.addEdge(e.u, e.v);
+  const Graph g = tp.finish();
+  try {
+    validateGraph(g);
+    FAIL() << "validateGraph accepted a parallel edge";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("parallel edge"), std::string::npos)
+        << "message was: " << e.what();
+  }
 }
 
 TEST(Graph, TriangleStructure) {
@@ -249,19 +461,6 @@ TEST(GraphIo, RoundTripPreservesPorts) {
       EXPECT_EQ(g.neighbor(v, p), h.neighbor(v, p));
       EXPECT_EQ(g.reversePort(v, p), h.reversePort(v, p));
     }
-  }
-}
-
-// Asserts that parsing fails and the error names source:line (the
-// satellite requirement: loader errors must be actionable).
-template <typename Fn>
-void expectParseError(Fn&& fn, const std::string& needle) {
-  try {
-    fn();
-    FAIL() << "expected std::invalid_argument mentioning '" << needle << "'";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << "message was: " << e.what();
   }
 }
 

@@ -45,6 +45,42 @@ TEST(Rng, BelowIsRoughlyUniform) {
   }
 }
 
+// The textbook rejection rule, computed on every draw: accept r once
+// r >= (2^64 - bound) mod bound, then reduce modulo bound.
+std::uint64_t referenceBelow(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = (~bound + 1) % bound;
+  for (;;) {
+    const std::uint64_t r = rng();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(Rng, BelowMatchesReferenceRejection) {
+  // Bounds near and above 2^63 draw r < bound (the branch that needs the
+  // threshold) on a large share of calls, and reject often.
+  const std::uint64_t bounds[] = {1,
+                                  2,
+                                  3,
+                                  57,
+                                  1024,
+                                  (1ULL << 32) - 1,
+                                  (1ULL << 32) + 1,
+                                  (1ULL << 63) + 1,
+                                  3 * (1ULL << 62) + 5,
+                                  ~0ULL};
+  for (const std::uint64_t seed : {1ULL, 2ULL, 0xfeedULL, 0x5eed5eed5eedULL}) {
+    Rng fast(seed);
+    Rng reference(seed);
+    for (const std::uint64_t bound : bounds) {
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_EQ(fast.below(bound), referenceBelow(reference, bound))
+            << "seed " << seed << " bound " << bound << " draw " << i;
+      }
+    }
+    EXPECT_EQ(fast(), reference());  // same number of raw draws consumed
+  }
+}
+
 TEST(Rng, BelowRejectsZero) { EXPECT_THROW((void)Rng(1).below(0), std::invalid_argument); }
 
 TEST(Rng, IntInCoversBounds) {
