@@ -1,5 +1,5 @@
-// Unified experiment driver: selects registered sweeps by name, so one
-// binary replaces the per-experiment ones (which remain as thin wrappers).
+// Experiment driver: selects registered sweeps by name, so one binary
+// replaces the per-experiment ones.
 //
 //   disp_bench --list
 //   disp_bench all --threads=8 --jsonl=run.jsonl

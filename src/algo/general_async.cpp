@@ -1,20 +1,12 @@
 #include "algo/general_async.hpp"
 
 #include <algorithm>
-#include <set>
 #include <string>
 
 #include "algo/protocol_common.hpp"
-#include "graph/graph_algos.hpp"
 #include "util/check.hpp"
 
 namespace disp {
-
-namespace {
-/// Guard bound for "eventually" wait loops; generous so only true deadlocks
-/// (protocol bugs) trip it before the engine's own activation cap does.
-constexpr std::uint64_t kWaitGuard = 1ULL << 26;
-}  // namespace
 
 GeneralAsyncDispersion::GeneralAsyncDispersion(AsyncEngine& engine)
     : engine_(engine),
@@ -25,24 +17,7 @@ GeneralAsyncDispersion::GeneralAsyncDispersion(AsyncEngine& engine)
                                 engine.agentCount())),
       leadQueued_(engine.agentCount(), kNoGroup),
       anchorOf_(engine.agentCount(), kNoGroup) {
-  // One group per initially occupied node.
-  std::set<NodeId> startNodes;
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    startNodes.insert(engine_.positionOf(a));
-  }
-  for (const NodeId s : startNodes) {
-    GroupCtx ctx;
-    ctx.label = static_cast<Label>(groups_.size());
-    for (const AgentIx a : engine_.agentsAt(s)) {
-      st_[a].label = ctx.label;
-      ++ctx.total;
-      if (ctx.leader == kNoAgent || engine_.idOf(a) > engine_.idOf(ctx.leader)) {
-        ctx.leader = a;
-      }
-    }
-    ctx.unsettled = ctx.total;
-    groups_.push_back(ctx);
-  }
+  initGroups();
   for (const GroupCtx& ctx : groups_) leadQueued_[ctx.leader] = ctx.label;
   probeNext_.assign(groups_.size(), kNoPort);
   probeMet_.assign(groups_.size(), {});
@@ -68,16 +43,6 @@ void GeneralAsyncDispersion::start() {
   }
 }
 
-bool GeneralAsyncDispersion::dispersed() const {
-  std::vector<NodeId> where;
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    if (!st_[a].settled || st_[a].isGuest) return false;
-    if (engine_.positionOf(a) != st_[a].settledAt) return false;
-    where.push_back(engine_.positionOf(a));
-  }
-  return isDispersed(where);
-}
-
 std::uint64_t GeneralAsyncDispersion::agentBits(AgentIx a) const {
   // id + 2 labels (label, reportMet) + 7 flags (settled, isGuest,
   // orderGoHome, needRegister, needReport, reportEmpty, reportGuest) +
@@ -99,28 +64,6 @@ void GeneralAsyncDispersion::recordMemory() {
 }
 
 // ------------------------------------------------------------- helpers
-
-std::uint32_t GeneralAsyncDispersion::resolveGroup(std::uint32_t g) const {
-  while (groups_[g].dissolved) g = groups_[g].absorbedBy;
-  return g;
-}
-
-AgentIx GeneralAsyncDispersion::homeSettlerAt(NodeId v, Label label) const {
-  for (const AgentIx a : engine_.agentsAt(v)) {
-    if (st_[a].settled && !st_[a].isGuest && st_[a].settledAt == v &&
-        st_[a].label == label) {
-      return a;
-    }
-  }
-  return kNoAgent;
-}
-
-AgentIx GeneralAsyncDispersion::anySettlerAt(NodeId v) const {
-  for (const AgentIx a : engine_.agentsAt(v)) {
-    if (st_[a].settled && !st_[a].isGuest && st_[a].settledAt == v) return a;
-  }
-  return kNoAgent;
-}
 
 const std::vector<AgentIx>& GeneralAsyncDispersion::availableProbersAt(
     NodeId w, Label label) const {
@@ -180,12 +123,6 @@ bool GeneralAsyncDispersion::groupConsolidatedAt(Label label, NodeId v) const {
   return consolidated;
 }
 
-std::uint32_t GeneralAsyncDispersion::globalUnsettled() const {
-  std::uint32_t n = 0;
-  for (const auto& g : groups_) n += g.unsettled;
-  return n;
-}
-
 void GeneralAsyncDispersion::settle(std::uint32_t gi, AgentIx a, NodeId at,
                                     Port parentPort) {
   AgentState& s = st_[a];
@@ -198,36 +135,8 @@ void GeneralAsyncDispersion::settle(std::uint32_t gi, AgentIx a, NodeId at,
   proberIdx_.erase(a);  // settlers stop being prober-eligible
   posIdx_.remove(s.label, at);
   --groups_[gi].unsettled;
+  --unsettledTotal_;
   engine_.traceSettle(a, groups_[gi].label);
-  recordMemory();
-}
-
-void GeneralAsyncDispersion::absorbGroup(std::uint32_t gi, std::uint32_t mi) {
-  // Takes a fully consolidated marcher group in: relabel every member,
-  // move the counts, and dissolve it.  Shared by the active-leader path
-  // (absorbMarchers) and the dormant-anchor path (dormantDuties).
-  GroupCtx& ctx = groups_[gi];
-  GroupCtx& m = groups_[mi];
-  const NodeId here = engine_.positionOf(ctx.leader);
-  std::uint32_t joined = 0;
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    if (st_[a].label == m.label && !st_[a].settled) {
-      DISP_CHECK(engine_.positionOf(a) == here,
-                 "marcher group not consolidated at absorb time");
-      st_[a].label = ctx.label;
-      posIdx_.remove(m.label, here);
-      posIdx_.add(ctx.label, here);
-      ++joined;
-    }
-  }
-  ctx.total += joined;
-  ctx.unsettled += joined;
-  m.total -= joined;
-  m.unsettled -= joined;
-  DISP_CHECK(m.total == 0 && m.unsettled == 0, "marcher left agents behind");
-  m.dissolved = true;
-  m.absorbedBy = gi;
-  m.marching = false;
   recordMemory();
 }
 
@@ -251,21 +160,6 @@ GeneralAsyncDispersion::ProbeSight GeneralAsyncDispersion::observeAndRecruit(
     proberIdx_.insert(sight.settler, ui);  // guests are prober-eligible
   }
   return sight;
-}
-
-void GeneralAsyncDispersion::adoptAt(std::uint32_t gi, Label fromLabel, NodeId v) {
-  if (fromLabel == groups_[gi].label) return;  // self-collapse: already ours
-  for (const AgentIx a : engine_.agentsAt(v)) {
-    if (st_[a].label == fromLabel && !st_[a].settled) {
-      st_[a].label = groups_[gi].label;
-      posIdx_.remove(fromLabel, v);
-      posIdx_.add(groups_[gi].label, v);
-      ++groups_[gi].total;
-      ++groups_[gi].unsettled;
-      --groups_[fromLabel].total;
-      --groups_[fromLabel].unsettled;
-    }
-  }
 }
 
 // ---------------------------------------------------------- participant
@@ -410,7 +304,7 @@ void GeneralAsyncDispersion::dormantDuties(AgentIx self) {
     anchorOf_[self] = kNoGroup;  // collapsed away or leadership moved on
     return;
   }
-  if (globalUnsettled() == 0) {
+  if (unsettledTotal_ == 0) {
     engine_.finish();
     return;
   }
@@ -422,8 +316,7 @@ void GeneralAsyncDispersion::dormantDuties(AgentIx self) {
   for (std::uint32_t mi = 0; mi < groups_.size(); ++mi) {
     const GroupCtx& m = groups_[mi];
     if (!m.marching || m.dissolved || resolveGroup(m.marchTarget) != gi) continue;
-    if (!groupConsolidatedAt(m.label, here)) continue;
-    absorbGroup(gi, mi);
+    if (marcherArrived(mi, gi)) absorbGroup(gi, mi);
   }
   if (ctx.unsettled > 0) {
     const AgentIx fresh = maxIdAgentAt(engine_, here, [&](AgentIx a) {
@@ -455,7 +348,7 @@ Task GeneralAsyncDispersion::moveGroup(std::uint32_t gi, Port p) {
   // its winner mid-hop (every member relabeled while this fiber sleeps);
   // the dissolved check lets the ex-leader unwind instead of waiting for a
   // label nobody carries any more.
-  for (std::uint64_t guard = 0; guard < kWaitGuard; ++guard) {
+  for (std::uint64_t guard = 0; guard < kWaitBound; ++guard) {
     if (ctx.dissolved) co_return;
     if (groupConsolidatedAt(ctx.label, engine_.positionOf(self))) {
       ++stats_.collapseHops;  // generic hop counter (collapses and marches)
@@ -622,274 +515,7 @@ Task GeneralAsyncDispersion::seeOffPhase(std::uint32_t gi, AgentIx self) {
   }
 }
 
-// ---------------------------------------------------------- subsumption
-
-Task GeneralAsyncDispersion::awaitParked(std::uint32_t gi, std::uint32_t loser) {
-  const AgentIx self = groups_[gi].leader;
-  // The loser acknowledges the freeze at its next safe point; a group whose
-  // leader already settled everyone (dispersed) counts as parked — its
-  // dormant anchor holds still once frozen.
-  for (std::uint64_t guard = 0; guard < kWaitGuard; ++guard) {
-    const GroupCtx& L = groups_[loser];
-    if (L.parked || (L.unsettled == 0 && !L.marching)) co_return;
-    co_await engine_.nextActivation(self);
-  }
-  DISP_CHECK(false, "loser never parked");
-}
-
-Task GeneralAsyncDispersion::collapseVisit(std::uint32_t gi, Label loserLabel,
-                                           Port exclPort) {
-  GroupCtx& ctx = groups_[gi];
-  const NodeId cur = engine_.positionOf(ctx.leader);
-
-  // Collect any parked loser-group agents stranded here (including the
-  // loser's parked leader): they change allegiance and walk with us.
-  adoptAt(gi, loserLabel, cur);
-
-  const AgentIx ls = homeSettlerAt(cur, loserLabel);
-  if (ls == kNoAgent) {
-    std::string diag = "collapse walk: loser tree node without settler: node=" +
-                       std::to_string(cur) + " loser=" + std::to_string(loserLabel) +
-                       " walker=" + std::to_string(ctx.label) + " occupants:";
-    for (const AgentIx b : engine_.agentsAt(cur)) {
-      diag += " a" + std::to_string(b) + "(l" + std::to_string(st_[b].label) +
-              (st_[b].settled ? ",s" : ",u") + (st_[b].isGuest ? ",g)" : ")");
-    }
-    DISP_CHECK(false, diag);
-  }
-  const Port parentPort = st_[ls].parentPort;
-  const Port firstChild = st_[ls].firstChildPort;
-
-  // Children chain (skipping the direction we came from; for that child we
-  // only peek its sibling pointer to continue the chain).
-  Port c = firstChild;
-  while (c != kNoPort) {
-    if (c == exclPort) {
-      co_await moveGroup(gi, c);
-      const AgentIx cs = homeSettlerAt(engine_.positionOf(ctx.leader), loserLabel);
-      const Port sib = (cs != kNoAgent) ? st_[cs].nextSiblingPort : kNoPort;
-      co_await moveGroup(gi, engine_.pinOf(ctx.leader));
-      c = sib;
-      continue;
-    }
-    co_await moveGroup(gi, c);
-    const Port backUp = engine_.pinOf(ctx.leader);
-    const AgentIx cs = homeSettlerAt(engine_.positionOf(ctx.leader), loserLabel);
-    DISP_CHECK(cs != kNoAgent, "collapse walk: child without settler");
-    const Port sib = st_[cs].nextSiblingPort;
-    co_await collapseVisit(gi, loserLabel, backUp);
-    co_await moveGroup(gi, backUp);
-    c = sib;
-  }
-
-  // Parent direction (when we entered from a child or from outside).
-  if (parentPort != kNoPort && parentPort != exclPort) {
-    co_await moveGroup(gi, parentPort);
-    const Port backDown = engine_.pinOf(ctx.leader);
-    co_await collapseVisit(gi, loserLabel, backDown);
-    co_await moveGroup(gi, backDown);
-  }
-
-  // Finally collect this node's settler; its record dies with it.
-  AgentState& s = st_[ls];
-  s.settled = false;
-  s.settledAt = kInvalidNode;
-  s.label = ctx.label;
-  proberIdx_.insert(ls, engine_.positionOf(ls));  // unsettled again
-  posIdx_.add(ctx.label, engine_.positionOf(ls));
-  ++ctx.total;
-  ++ctx.unsettled;
-  --groups_[loserLabel].total;
-  --groups_[loserLabel].treeSize;
-  engine_.traceUnsettle(ls, loserLabel, ctx.label);
-}
-
-Task GeneralAsyncDispersion::marchToward(std::uint32_t gi, AgentIx anchor) {
-  // BFS walk of the whole group toward the anchor agent's (possibly
-  // moving) position; every hop is a real group move.
-  for (std::uint64_t guard = 0; guard < kWaitGuard; ++guard) {
-    const NodeId here = engine_.positionOf(groups_[gi].leader);
-    const NodeId there = engine_.positionOf(anchor);
-    if (here == there) co_return;
-    const Port step = stepToward(engine_.graph(), here, there, route_);
-    DISP_CHECK(step != kNoPort, "march lost its way");
-    co_await moveGroup(gi, step);
-  }
-  DISP_CHECK(false, "march never arrived");
-}
-
-Task GeneralAsyncDispersion::collapseForeign(std::uint32_t gi, std::uint32_t loser,
-                                             Port metPort) {
-  GroupCtx& ctx = groups_[gi];
-  bool usedPort = false;
-  if (metPort != kNoPort) {
-    // Enter the loser tree through the met port, Euler-walk it collecting
-    // everyone, end back at the entry node, and hop home.  The met node may
-    // turn out not to be a loser *tree* node (the meeting was with agents
-    // in transit); fall back to the march path then.
-    co_await moveGroup(gi, metPort);
-    const Port backToHead = engine_.pinOf(ctx.leader);
-    if (homeSettlerAt(engine_.positionOf(ctx.leader), groups_[loser].label) !=
-        kNoAgent) {
-      usedPort = true;
-      co_await collapseVisit(gi, groups_[loser].label, kNoPort);
-    }
-    co_await moveGroup(gi, backToHead);
-  }
-  if (!usedPort) {
-    // Pended retry: no fresh adjacency.  March to the loser's parked group
-    // (its leader rests on a loser tree node), collapse from there, then
-    // march back to our own head to resume the DFS.
-    const NodeId myHead = engine_.positionOf(ctx.leader);
-    const AgentIx loserAnchor = groups_[loser].leader;
-    co_await marchToward(gi, loserAnchor);
-    co_await collapseVisit(gi, groups_[loser].label, kNoPort);
-    const AgentIx homeAnchor = homeSettlerAt(myHead, ctx.label);
-    DISP_CHECK(homeAnchor != kNoAgent, "head lost its settler during collapse");
-    co_await marchToward(gi, homeAnchor);
-  }
-  recordMemory();
-}
-
-Task GeneralAsyncDispersion::selfCollapseAndMarch(std::uint32_t gi,
-                                                  std::uint32_t winner, Port metPort) {
-  GroupCtx& ctx = groups_[gi];
-  // Collapse our own tree starting from the head (a tree node), collecting
-  // all our settlers into the walking group.
-  co_await collapseVisit(gi, ctx.label, kNoPort);
-  // Chase the winner's leader (the group anchor: with the group while
-  // active, at its settle node when dormant).  The winner idles at its
-  // next safe point until we arrive and absorbs us; routing uses
-  // engine-side position tracking standing in for KS's head-pointer
-  // maintenance, with every hop a real move.
-  if (metPort != kNoPort) co_await moveGroup(gi, metPort);
-  ctx.marchTarget = winner;
-  ctx.marching = true;
-  for (std::uint64_t guard = 0; guard < kWaitGuard; ++guard) {
-    if (ctx.dissolved) co_return;  // the winner absorbed us
-    const std::uint32_t target = resolveGroup(ctx.marchTarget);
-    const NodeId here = engine_.positionOf(ctx.leader);
-    const NodeId head = engine_.positionOf(groups_[target].leader);
-    if (here == head) {
-      co_await engine_.nextActivation(ctx.leader);  // co-located: await absorb
-      continue;
-    }
-    const Port step = stepToward(engine_.graph(), here, head, route_);
-    DISP_CHECK(step != kNoPort, "march lost its way");
-    co_await moveGroup(gi, step);
-  }
-  DISP_CHECK(false, "march never absorbed");
-}
-
-Task GeneralAsyncDispersion::absorbMarchers(std::uint32_t gi) {
-  GroupCtx& ctx = groups_[gi];
-  for (;;) {
-    // Junction locking (DESIGN.md §4.7): a frozen/dissolved group must not
-    // take marchers in — its winner's collapse walk collects only tree
-    // settlers, so members absorbed mid-freeze would be orphaned unsettled
-    // when this fiber parks.  The marchers re-resolve their target through
-    // the dissolution chain and reach the eventual winner instead.
-    if (ctx.frozen || ctx.dissolved) co_return;
-    std::int64_t marcher = -1;
-    for (std::uint32_t mi = 0; mi < groups_.size(); ++mi) {
-      if (groups_[mi].marching && !groups_[mi].dissolved &&
-          resolveGroup(groups_[mi].marchTarget) == gi) {
-        marcher = mi;
-        break;
-      }
-    }
-    if (marcher < 0) co_return;
-    ctx.phase = "absorbWait";
-    const std::uint32_t mi = static_cast<std::uint32_t>(marcher);
-    // Idle until the marcher's group fully reaches our leader, then take
-    // them in — unless a winner freezes us first, or the marcher is
-    // rerouted meanwhile.
-    for (std::uint64_t guard = 0; guard < kWaitGuard; ++guard) {
-      if (ctx.frozen || ctx.dissolved || groups_[mi].dissolved) break;
-      if (groupConsolidatedAt(groups_[mi].label, engine_.positionOf(ctx.leader))) break;
-      co_await engine_.nextActivation(ctx.leader);
-    }
-    if (ctx.frozen || ctx.dissolved) co_return;
-    if (groups_[mi].dissolved) continue;  // absorbed elsewhere; rescan
-    absorbGroup(gi, mi);
-  }
-}
-
-Task GeneralAsyncDispersion::handleMeeting(std::uint32_t gi, Label other,
-                                           Port metPort) {
-  GroupCtx& ctx = groups_[gi];
-  // A group that has itself been frozen (a winner is about to collapse it)
-  // must not initiate anything: it parks at its next safe point and gets
-  // collected.
-  if (ctx.frozen || ctx.dissolved || ctx.marching) co_return;
-  const std::uint32_t target = resolveGroup(other);
-  if (target == gi) co_return;
-  GroupCtx& them = groups_[target];
-  if (them.frozen || them.marching) {
-    // Busy peer: pend the meeting (dropping it could wall this tree in,
-    // since a probed port is never re-probed once `checked` advances).
-    if (std::find(ctx.pending.begin(), ctx.pending.end(), them.label) ==
-        ctx.pending.end()) {
-      ctx.pending.push_back(them.label);
-    }
-    co_return;
-  }
-  ++stats_.meetings;
-  engine_.traceEvent(TraceEventKind::Meeting, ctx.leader,
-                     engine_.positionOf(ctx.leader), ctx.label, them.label);
-
-  // |D2| < |D1| means D1 subsumes D2; ties favour the met tree (§4.2).
-  // The peer checks and the freeze below share one activation — no
-  // suspension point in between — so two groups can never freeze each
-  // other concurrently.
-  const bool iWin = them.treeSize < ctx.treeSize;
-  ++stats_.subsumptions;
-  engine_.traceEvent(TraceEventKind::Subsume,
-                     iWin ? ctx.leader : them.leader,
-                     engine_.positionOf(ctx.leader),
-                     iWin ? ctx.label : them.label,
-                     iWin ? them.label : ctx.label);
-  if (iWin) {
-    them.frozen = true;
-    engine_.traceEvent(TraceEventKind::Freeze, them.leader,
-                       engine_.positionOf(them.leader), them.label, ctx.label);
-    ctx.phase = "awaitParked";
-    co_await awaitParked(gi, target);
-    ctx.phase = "collapseForeign";
-    if (!them.dissolved) {
-      co_await collapseForeign(gi, target, metPort);
-      them.dissolved = true;
-      them.absorbedBy = gi;
-    }
-  } else {
-    ctx.frozen = true;  // others must not target us mid-self-collapse
-    engine_.traceEvent(TraceEventKind::Freeze, ctx.leader,
-                       engine_.positionOf(ctx.leader), ctx.label, them.label);
-    ctx.phase = "selfCollapse";
-    co_await selfCollapseAndMarch(gi, target, metPort);
-  }
-}
-
-Task GeneralAsyncDispersion::retryPending(std::uint32_t gi) {
-  GroupCtx& ctx = groups_[gi];
-  if (ctx.unsettled == 0) {
-    // A dispersed group never needs to initiate a subsumption: if a blocked
-    // peer still needs this tree's nodes, it will meet us and act.
-    ctx.pending.clear();
-    co_return;
-  }
-  std::vector<Label> todo;
-  std::swap(todo, ctx.pending);
-  for (const Label label : todo) {
-    if (ctx.frozen || ctx.dissolved) {
-      // Re-pend what we could not process; a later owner inherits it.
-      ctx.pending.push_back(label);
-      continue;
-    }
-    if (resolveGroup(label) == gi) continue;  // merged meanwhile
-    co_await handleMeeting(gi, label, kNoPort);
-  }
-}
+// --------------------------------------------------------------- rescan
 
 Task GeneralAsyncDispersion::rescanVisit(std::uint32_t gi, AgentIx self) {
   // Blocked-DFS recovery: Euler-walk the own tree, resetting probe progress
@@ -956,7 +582,7 @@ Task GeneralAsyncDispersion::leaderLoop(std::uint32_t gi, AgentIx self) {
       // to us; dormantDuties absorbs them and hands leadership on.
       ctx.phase = "dormant";
       anchorOf_[self] = gi;
-      if (globalUnsettled() == 0) engine_.finish();
+      if (unsettledTotal_ == 0) engine_.finish();
       co_return;
     }
 
@@ -998,26 +624,8 @@ Task GeneralAsyncDispersion::leaderLoop(std::uint32_t gi, AgentIx self) {
 
       co_await moveGroup(gi, next);
       const NodeId u = engine_.positionOf(self);
-      const AgentIx foreignSettler = anySettlerAt(u);
-      bool retreat = false;
-      Label metLabel = kNoLabel;
-      if (foreignSettler != kNoAgent) {
-        retreat = true;
-        metLabel = st_[foreignSettler].label;
-      } else {
-        // Collision with a foreign group on an empty node: the squatting
-        // rule — the smaller tree (ties: smaller label) retreats; both
-        // sides compute the same comparison.
-        for (const AgentIx b : engine_.agentsAt(u)) {
-          if (st_[b].label == ctx.label || st_[b].settled) continue;
-          const std::uint32_t otherGi = resolveGroup(st_[b].label);
-          const auto mine = std::make_pair(ctx.treeSize, ctx.label);
-          const auto theirs =
-              std::make_pair(groups_[otherGi].treeSize, groups_[otherGi].label);
-          if (mine < theirs) retreat = true;
-        }
-      }
-      if (retreat) {
+      const Collision hit = forwardCollision(gi, u);
+      if (hit.retreat) {
         ++stats_.retreats;
         co_await moveGroup(gi, engine_.pinOf(self));
         // Undo the speculative sibling link: the child was not created.
@@ -1026,7 +634,7 @@ Task GeneralAsyncDispersion::leaderLoop(std::uint32_t gi, AgentIx self) {
         if (prevLatest != kNoPort) {
           co_await sideTripSetNextSibling(gi, self, prevLatest, kNoPort);
         }
-        if (metLabel != kNoLabel) co_await handleMeeting(gi, metLabel, next);
+        if (hit.met != kNoLabel) co_await handleMeeting(gi, hit.met, next);
         continue;
       }
 
@@ -1042,7 +650,7 @@ Task GeneralAsyncDispersion::leaderLoop(std::uint32_t gi, AgentIx self) {
       if (ctx.unsettled == 0) {
         ctx.phase = "dormant";
         anchorOf_[self] = gi;
-        if (globalUnsettled() == 0) engine_.finish();
+        if (unsettledTotal_ == 0) engine_.finish();
         co_return;
       }
     } else {

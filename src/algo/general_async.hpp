@@ -7,11 +7,11 @@
 // Composition (paper §8.2): each of the ℓ groups runs the RootedAsyncDisp
 // growing phase — Async_Probe helper doubling, Guest_See_Off, and the §4.3
 // in-transit-helper hazard handling, all label-scoped — while meetings
-// between groups are resolved by KS subsumption exactly as in the SYNC
-// general algorithm (general_sync.*): sizes are compared, the loser freezes
-// and is collapsed by an Euler walk over its DFS tree (or collapses itself
-// and marches to the winner), and forward-move collisions on an empty node
-// are resolved by the squatting rule (the larger tree squats, the smaller
+// between groups are resolved by KS subsumption (algo/subsumption.hpp,
+// shared with general_sync.*): sizes are compared, the loser freezes and is
+// collapsed by an Euler walk over its DFS tree (or collapses itself and
+// marches to the winner), and forward-move collisions on an empty node are
+// resolved by the squatting rule (the larger tree squats, the smaller
 // retreats).
 //
 // ASYNC-specific structure (one fiber per agent, as the engine requires):
@@ -29,20 +29,21 @@
 //  * group moves reassemble fully before any collision/retreat decision,
 //    so no follower can be stranded mid-edge by a retreat order.
 //
-// Documented simplifications carried over from general_sync.* (DESIGN.md):
-// group contexts and size comparison stand in for KS junction-locking, and
-// orphan marches route by engine-side BFS toward the winner's anchor with
-// every hop charged as a real move.
+// The ASYNC model primitives the shared subsumption runs on: a group hop
+// orders the followers, moves the leader and waits until the group has
+// reassembled; a wait step is the leader's next activation; a marcher has
+// arrived once its whole group stands at our leader; and every relabel or
+// unsettle keeps the probe indexes (algo/probe_index.hpp) in step.
 
 #include <cstdint>
 #include <vector>
 
 #include "algo/probe_index.hpp"
+#include "algo/subsumption.hpp"
 #include "core/async_engine.hpp"
 #include "core/memory.hpp"
 #include "core/metrics.hpp"
 #include "graph/graph.hpp"
-#include "graph/graph_algos.hpp"
 
 namespace disp {
 
@@ -60,7 +61,7 @@ struct GeneralAsyncStats {
   std::uint64_t handoffs = 0;  // leadership re-elections after an absorb
 };
 
-class GeneralAsyncDispersion {
+class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion> {
  public:
   /// Groups are inferred from co-location in the engine's initial world:
   /// one group per occupied node (any ℓ in [1, k]).
@@ -69,12 +70,8 @@ class GeneralAsyncDispersion {
   /// Installs one fiber per agent; call engine.run() afterwards.
   void start();
 
-  [[nodiscard]] bool dispersed() const;
   [[nodiscard]] const GeneralAsyncStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint64_t agentBits(AgentIx a) const;
-  [[nodiscard]] std::uint32_t groupCount() const {
-    return static_cast<std::uint32_t>(groups_.size());
-  }
 
   /// Test/debug introspection of an agent's lifecycle state.
   struct AgentSnapshot {
@@ -87,22 +84,9 @@ class GeneralAsyncDispersion {
     return {st_[a].settled, st_[a].isGuest, st_[a].settledAt, st_[a].label};
   }
 
-  /// Test/debug introspection of a group's lifecycle state.
-  struct GroupSnapshot {
-    std::uint32_t total, unsettled, treeSize;
-    bool frozen, parked, dissolved, marching;
-    AgentIx leader;
-    const char* phase;
-  };
-  [[nodiscard]] GroupSnapshot groupSnapshot(std::uint32_t gi) const {
-    const auto& g = groups_[gi];
-    return {g.total, g.unsettled, g.treeSize, g.frozen, g.parked, g.dissolved,
-            g.marching, g.leader, g.phase};
-  }
-
  private:
-  using Label = std::uint32_t;
-  static constexpr Label kNoLabel = static_cast<Label>(-1);
+  friend class KsSubsumption<GeneralAsyncDispersion>;
+
   static constexpr std::uint32_t kNoGroup = static_cast<std::uint32_t>(-1);
 
   struct AgentState {
@@ -144,22 +128,6 @@ class GeneralAsyncDispersion {
     Label reportMet = kNoLabel;     // smallest foreign label seen, if any
   };
 
-  struct GroupCtx {
-    Label label = 0;
-    AgentIx leader = kNoAgent;  // active leader, or the dormant anchor
-    std::uint32_t total = 0;    // agents currently belonging to the group
-    std::uint32_t unsettled = 0;
-    std::uint32_t treeSize = 0;
-    bool frozen = false;     // a winner ordered this group to halt
-    bool parked = false;     // leader fiber acknowledged the freeze
-    bool dissolved = false;  // collapsed into another tree
-    std::uint32_t absorbedBy = 0;   // valid once dissolved
-    bool marching = false;          // self-collapsed, chasing the winner
-    std::uint32_t marchTarget = 0;  // initial winner (chain-resolved live)
-    std::vector<Label> pending;     // meetings skipped while the peer was busy
-    const char* phase = "init";     // debug/test introspection only
-  };
-
   // --- fibers -----------------------------------------------------------
   Task agentFiber(AgentIx self);
   /// The whole DFS life of group `gi` while `self` leads it.  Returns when
@@ -175,19 +143,8 @@ class GeneralAsyncDispersion {
   Task probePhase(std::uint32_t gi, AgentIx self);  // result in probeNext_ / probeMet_
   Task seeOffPhase(std::uint32_t gi, AgentIx self);
   Task leaderProbeTrip(std::uint32_t gi, AgentIx self, Port port);
-  Task moveGroup(std::uint32_t gi, Port p);  // order, move, fully reassemble
   Task sideTripSetNextSibling(std::uint32_t gi, AgentIx self, Port prevChildPort,
                               Port newChildPort);
-
-  // --- subsumption (mirrors general_sync) -------------------------------
-  Task handleMeeting(std::uint32_t gi, Label other, Port metPort);
-  Task awaitParked(std::uint32_t gi, std::uint32_t loser);
-  Task collapseForeign(std::uint32_t gi, std::uint32_t loser, Port metPort);
-  Task collapseVisit(std::uint32_t gi, Label loserLabel, Port exclPort);
-  Task selfCollapseAndMarch(std::uint32_t gi, std::uint32_t winner, Port metPort);
-  Task absorbMarchers(std::uint32_t gi);
-  Task marchToward(std::uint32_t gi, AgentIx anchor);
-  Task retryPending(std::uint32_t gi);
   Task rescanVisit(std::uint32_t gi, AgentIx self);
 
   // --- dormant-anchor duties (runs inside participant mode) -------------
@@ -202,18 +159,32 @@ class GeneralAsyncDispersion {
   /// Communicate step of a probe at the prober's current node: classify
   /// and recruit.  Shared by participant probers and leader trips.
   ProbeSight observeAndRecruit(AgentIx self, Label label);
-  /// Relabel + dissolve a fully consolidated marcher group into gi.
-  void absorbGroup(std::uint32_t gi, std::uint32_t mi);
 
-  [[nodiscard]] std::uint32_t resolveGroup(std::uint32_t g) const;
-  [[nodiscard]] AgentIx homeSettlerAt(NodeId v, Label label) const;
-  [[nodiscard]] AgentIx anySettlerAt(NodeId v) const;  // any label
   [[nodiscard]] const std::vector<AgentIx>& availableProbersAt(NodeId w,
                                                                Label label) const;
   [[nodiscard]] bool groupConsolidatedAt(Label label, NodeId v) const;
-  [[nodiscard]] std::uint32_t globalUnsettled() const;
   void settle(std::uint32_t gi, AgentIx a, NodeId at, Port parentPort);
-  void adoptAt(std::uint32_t gi, Label fromLabel, NodeId v);  // relabel unsettled
+
+  // --- ASYNC model primitives for KsSubsumption --------------------------
+  /// Guard bound for "eventually" wait loops; generous so only true
+  /// deadlocks (protocol bugs) trip it before the engine's own activation
+  /// cap does.
+  static constexpr std::uint64_t kWaitBound = 1ULL << 26;  // leader activations
+  Task moveGroup(std::uint32_t gi, Port p);  // order, move, fully reassemble
+  [[nodiscard]] StepAwait waitStep(std::uint32_t gi) {
+    return engine_.nextActivation(groups_[gi].leader);
+  }
+  [[nodiscard]] bool marcherArrived(std::uint32_t mi, std::uint32_t gi) const {
+    return groupConsolidatedAt(groups_[mi].label, engine_.positionOf(groups_[gi].leader));
+  }
+  void onRelabel(AgentIx a, Label from, NodeId v) {
+    posIdx_.remove(from, v);
+    posIdx_.add(st_[a].label, v);
+  }
+  void onUnsettle(AgentIx a, NodeId v) {
+    proberIdx_.insert(a, v);  // unsettled again: prober-eligible
+    posIdx_.add(st_[a].label, v);
+  }
   void recordMemory();
 
   AsyncEngine& engine_;
@@ -229,7 +200,6 @@ class GeneralAsyncDispersion {
   /// activation) to two O(1) lookups.  Labels never outlive the initial
   /// group array, so the index is sized once in the constructor.
   GroupPositionIndex posIdx_;
-  std::vector<GroupCtx> groups_;
   GeneralAsyncStats stats_;
   BitWidths widths_;
 
@@ -242,8 +212,6 @@ class GeneralAsyncDispersion {
   std::vector<Port> probeNext_;
   std::vector<std::vector<std::pair<Label, Port>>> probeMet_;
   std::vector<std::uint8_t> rescanFound_;  // per group: two can rescan at once
-  /// March routing (stepToward); each call completes within one activation.
-  BfsScratch route_;
 };
 
 }  // namespace disp

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "algo/protocol_common.hpp"
-#include "graph/graph_algos.hpp"
 #include "util/check.hpp"
 
 namespace disp {
@@ -13,33 +12,9 @@ GeneralSyncDispersion::GeneralSyncDispersion(SyncEngine& engine)
       st_(engine.agentCount()),
       widths_(BitWidths::forRun(4ULL * engine.agentCount(), engine.graph().maxDegree(),
                                 engine.agentCount())) {
-  // One group per initially occupied node (ascending node order, as the
-  // historical std::set iteration produced).
-  std::vector<NodeId> startNodes;
-  startNodes.reserve(engine_.agentCount());
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    startNodes.push_back(engine_.positionOf(a));
-  }
-  std::sort(startNodes.begin(), startNodes.end());
-  startNodes.erase(std::unique(startNodes.begin(), startNodes.end()),
-                   startNodes.end());
+  initGroups();
   ledGroups_.assign(engine_.agentCount(), 0);
-  for (const NodeId s : startNodes) {
-    GroupCtx ctx;
-    ctx.label = static_cast<Label>(groups_.size());
-    ctx.head = s;
-    for (const AgentIx a : engine_.agentsAt(s)) {
-      st_[a].label = ctx.label;
-      ++ctx.total;
-      if (ctx.leader == kNoAgent || engine_.idOf(a) > engine_.idOf(ctx.leader)) {
-        ctx.leader = a;
-      }
-    }
-    ctx.unsettled = ctx.total;
-    ++ledGroups_[ctx.leader];
-    unsettledTotal_ += ctx.unsettled;
-    groups_.push_back(ctx);
-  }
+  for (const GroupCtx& ctx : groups_) ++ledGroups_[ctx.leader];
   probeNext_.assign(groups_.size(), kNoPort);
   probeMet_.assign(groups_.size(), {});
 }
@@ -48,16 +23,6 @@ void GeneralSyncDispersion::start() {
   for (std::uint32_t gi = 0; gi < groups_.size(); ++gi) {
     engine_.addFiber(groupFiber(gi));
   }
-}
-
-bool GeneralSyncDispersion::dispersed() const {
-  std::vector<NodeId> where;
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    if (!st_[a].settled || st_[a].isGuest) return false;
-    if (engine_.positionOf(a) != st_[a].settledAt) return false;
-    where.push_back(engine_.positionOf(a));
-  }
-  return isDispersed(where);
 }
 
 std::uint64_t GeneralSyncDispersion::agentBits(AgentIx a) const {
@@ -91,23 +56,6 @@ void GeneralSyncDispersion::recordMemory() {
 }
 
 // ------------------------------------------------------------- helpers
-
-AgentIx GeneralSyncDispersion::homeSettlerAt(NodeId v, Label label) const {
-  for (const AgentIx a : engine_.agentsAt(v)) {
-    if (st_[a].settled && !st_[a].isGuest && st_[a].settledAt == v &&
-        st_[a].label == label) {
-      return a;
-    }
-  }
-  return kNoAgent;
-}
-
-AgentIx GeneralSyncDispersion::anySettlerAt(NodeId v) const {
-  for (const AgentIx a : engine_.agentsAt(v)) {
-    if (st_[a].settled && !st_[a].isGuest && st_[a].settledAt == v) return a;
-  }
-  return kNoAgent;
-}
 
 std::vector<AgentIx> GeneralSyncDispersion::groupAt(NodeId v, Label label) const {
   std::vector<AgentIx> g;
@@ -264,287 +212,7 @@ Task GeneralSyncDispersion::sideTripSetNextSibling(std::uint32_t gi, NodeId w,
   co_await engine_.nextRound();
 }
 
-// ---------------------------------------------------------- subsumption
-
-Task GeneralSyncDispersion::awaitParked(std::uint32_t loser) {
-  // (caller sets phase)
-  // The loser acknowledges the freeze at its next safe point; a group whose
-  // fiber already finished (fully settled) counts as parked.
-  for (std::uint64_t i = 0; i < 1u << 20; ++i) {
-    const GroupCtx& L = groups_[loser];
-    if (L.parked || (L.unsettled == 0 && !L.marching)) co_return;
-    co_await engine_.nextRound();
-  }
-  DISP_CHECK(false, "loser never parked");
-}
-
-Task GeneralSyncDispersion::collapseVisit(std::uint32_t gi, Label loserLabel,
-                                          Port exclPort) {
-  GroupCtx& ctx = groups_[gi];
-  const NodeId cur = engine_.positionOf(ctx.leader);
-
-  // Collect any parked loser-group agents stranded here (including the
-  // loser's leader): they simply change allegiance and walk with us.
-  for (const AgentIx a : engine_.agentsAt(cur)) {
-    if (st_[a].label == loserLabel && !st_[a].settled) {
-      st_[a].label = ctx.label;
-      ++ctx.total;
-      ++ctx.unsettled;
-      --groups_[loserLabel].total;
-      --groups_[loserLabel].unsettled;
-    }
-  }
-
-  const AgentIx ls = homeSettlerAt(cur, loserLabel);
-  if (ls == kNoAgent) {
-    std::string diag = "collapse walk: loser tree node without settler: node=" +
-                       std::to_string(cur) + " loser=" + std::to_string(loserLabel) +
-                       " walker=" + std::to_string(ctx.label) + " occupants:";
-    for (const AgentIx b : engine_.agentsAt(cur)) {
-      diag += " a" + std::to_string(b) + "(l" + std::to_string(st_[b].label) +
-              (st_[b].settled ? ",s" : ",u") + (st_[b].isGuest ? ",g)" : ")");
-    }
-    DISP_CHECK(false, diag);
-  }
-  const Port parentPort = st_[ls].parentPort;
-  const Port firstChild = st_[ls].firstChildPort;
-
-  // Children chain (skipping the direction we came from; for that child we
-  // only peek its sibling pointer to continue the chain).
-  Port c = firstChild;
-  while (c != kNoPort) {
-    if (c == exclPort) {
-      co_await moveGroup(gi, c);
-      const AgentIx cs = homeSettlerAt(engine_.positionOf(ctx.leader), loserLabel);
-      const Port sib = (cs != kNoAgent) ? st_[cs].nextSiblingPort : kNoPort;
-      co_await moveGroup(gi, engine_.pinOf(ctx.leader));
-      c = sib;
-      continue;
-    }
-    co_await moveGroup(gi, c);
-    const Port backUp = engine_.pinOf(ctx.leader);
-    const AgentIx cs = homeSettlerAt(engine_.positionOf(ctx.leader), loserLabel);
-    DISP_CHECK(cs != kNoAgent, "collapse walk: child without settler");
-    const Port sib = st_[cs].nextSiblingPort;
-    co_await collapseVisit(gi, loserLabel, backUp);
-    co_await moveGroup(gi, backUp);
-    c = sib;
-  }
-
-  // Parent direction (when we entered from a child or from outside).
-  if (parentPort != kNoPort && parentPort != exclPort) {
-    co_await moveGroup(gi, parentPort);
-    const Port backDown = engine_.pinOf(ctx.leader);
-    co_await collapseVisit(gi, loserLabel, backDown);
-    co_await moveGroup(gi, backDown);
-  }
-
-  // Finally collect this node's settler; its record dies with it.
-  AgentState& s = st_[ls];
-  s.settled = false;
-  s.settledAt = kInvalidNode;
-  s.label = ctx.label;
-  ++ctx.total;
-  ++ctx.unsettled;
-  ++unsettledTotal_;
-  --groups_[loserLabel].total;
-  --groups_[loserLabel].treeSize;
-  engine_.traceUnsettle(ls, loserLabel, ctx.label);
-}
-
-Task GeneralSyncDispersion::marchToward(std::uint32_t gi, AgentIx anchor) {
-  // BFS walk of the whole group toward the anchor agent's (possibly
-  // moving) position; every hop is a real staged move.
-  for (std::uint64_t guard = 0; guard < 1u << 20; ++guard) {
-    const NodeId here = engine_.positionOf(groups_[gi].leader);
-    const NodeId there = engine_.positionOf(anchor);
-    if (here == there) co_return;
-    const Port step = stepToward(engine_.graph(), here, there, route_);
-    DISP_CHECK(step != kNoPort, "march lost its way");
-    co_await moveGroup(gi, step);
-  }
-  DISP_CHECK(false, "march never arrived");
-}
-
-Task GeneralSyncDispersion::collapseForeign(std::uint32_t gi, std::uint32_t loser,
-                                            Port metPort) {
-  bool usedPort = false;
-  if (metPort != kNoPort) {
-    // Enter the loser tree through the met port, Euler-walk it collecting
-    // everyone, end back at the entry node, and hop home.  The met node may
-    // turn out not to be a loser *tree* node (the meeting was with agents
-    // in transit); fall back to the march path then.
-    co_await moveGroup(gi, metPort);
-    const Port backToHead = engine_.pinOf(groups_[gi].leader);
-    if (homeSettlerAt(engine_.positionOf(groups_[gi].leader), groups_[loser].label) !=
-        kNoAgent) {
-      usedPort = true;
-      co_await collapseVisit(gi, groups_[loser].label, kNoPort);
-    }
-    co_await moveGroup(gi, backToHead);
-  }
-  if (!usedPort) {
-    // Pended retry: no fresh adjacency.  March to the loser's parked group
-    // (its leader rests on a loser tree node), collapse from there, then
-    // march back to our own head to resume the DFS.
-    const NodeId myHead = engine_.positionOf(groups_[gi].leader);
-    const AgentIx loserAnchor = groups_[loser].leader;
-    co_await marchToward(gi, loserAnchor);
-    co_await collapseVisit(gi, groups_[loser].label, kNoPort);
-    // March home: anchor on our own settler at the head (the head always
-    // holds one).
-    const AgentIx homeAnchor = homeSettlerAt(myHead, groups_[gi].label);
-    DISP_CHECK(homeAnchor != kNoAgent, "head lost its settler during collapse");
-    co_await marchToward(gi, homeAnchor);
-  }
-  groups_[gi].head = engine_.positionOf(groups_[gi].leader);
-  recordMemory();
-}
-
-std::uint32_t GeneralSyncDispersion::resolveGroup(std::uint32_t g) const {
-  while (groups_[g].dissolved) g = groups_[g].absorbedBy;
-  return g;
-}
-
-Task GeneralSyncDispersion::selfCollapseAndMarch(std::uint32_t gi,
-                                                 std::uint32_t winner, Port metPort) {
-  GroupCtx& ctx = groups_[gi];
-  // Collapse our own tree starting from the head (a tree node), collecting
-  // all our settlers into the walking group.
-  co_await collapseVisit(gi, ctx.label, kNoPort);
-  // Chase the winner's leader (the group anchor: with the group while
-  // active, at its settle node when dormant).  The winner idles at its
-  // next safe point until we arrive and absorbs us (absorbMarchers);
-  // routing uses engine-side position tracking standing in for KS's
-  // head-pointer maintenance, with every hop a real move.
-  if (metPort != kNoPort) co_await moveGroup(gi, metPort);
-  ctx.marchTarget = winner;
-  ctx.marching = true;
-  ++marchingCount_;
-  for (std::uint64_t guard = 0; guard < 1u << 20; ++guard) {
-    if (ctx.dissolved) co_return;  // the winner absorbed us
-    const std::uint32_t target = resolveGroup(ctx.marchTarget);
-    const NodeId here = engine_.positionOf(ctx.leader);
-    const NodeId head = engine_.positionOf(groups_[target].leader);
-    if (here == head) {
-      co_await engine_.nextRound();  // co-located: wait for the absorb
-      continue;
-    }
-    const Port step = stepToward(engine_.graph(), here, head, route_);
-    DISP_CHECK(step != kNoPort, "march lost its way");
-    co_await moveGroup(gi, step);
-  }
-  DISP_CHECK(false, "march never absorbed");
-}
-
-Task GeneralSyncDispersion::absorbMarchers(std::uint32_t gi) {
-  GroupCtx& ctx = groups_[gi];
-  for (;;) {
-    // Junction locking (DESIGN.md §4.7): a group that has been frozen or
-    // dissolved must not take marchers in.  Its winner's collapse walk
-    // collects only tree settlers, so members absorbed mid-freeze would be
-    // orphaned unsettled when this fiber parks — the seed-dependent
-    // grid/ℓ=8 round-cap divergence.  Bailing out is safe: the marchers'
-    // loop re-resolves their target through the dissolution chain and
-    // delivers them to the eventual winner instead.
-    if (ctx.frozen || ctx.dissolved) co_return;
-    // Nothing marching anywhere ⇒ the scan below finds nothing; skip it.
-    // marchingCount_ mirrors the `marching` flag's two mutation sites.
-    if (marchingCount_ == 0) co_return;
-    std::int64_t marcher = -1;
-    for (std::uint32_t mi = 0; mi < groups_.size(); ++mi) {
-      if (groups_[mi].marching && !groups_[mi].dissolved &&
-          resolveGroup(groups_[mi].marchTarget) == gi) {
-        marcher = mi;
-        break;
-      }
-    }
-    if (marcher < 0) co_return;
-    ctx.phase = "absorbWait";
-    auto& m = groups_[static_cast<std::uint32_t>(marcher)];
-    // Idle until the marcher's group reaches our leader, then take them in
-    // — unless a winner freezes us first (see above), or the marcher is
-    // rerouted meanwhile.
-    while (!ctx.frozen && !ctx.dissolved && !m.dissolved &&
-           engine_.positionOf(m.leader) != engine_.positionOf(ctx.leader)) {
-      co_await engine_.nextRound();
-    }
-    if (ctx.frozen || ctx.dissolved) co_return;
-    if (m.dissolved) continue;  // absorbed elsewhere; rescan
-    std::uint32_t joined = 0;
-    for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-      if (st_[a].label == m.label && !st_[a].settled) {
-        DISP_CHECK(engine_.positionOf(a) == engine_.positionOf(ctx.leader),
-                   "marcher group not consolidated at absorb time");
-        st_[a].label = ctx.label;
-        ++joined;
-      }
-    }
-    ctx.total += joined;
-    ctx.unsettled += joined;
-    m.total -= joined;
-    m.unsettled -= joined;
-    DISP_CHECK(m.total == 0 && m.unsettled == 0, "marcher left agents behind");
-    m.dissolved = true;
-    m.absorbedBy = gi;
-    m.marching = false;
-    --marchingCount_;
-    recordMemory();
-  }
-}
-
-Task GeneralSyncDispersion::handleMeeting(std::uint32_t gi, Label other,
-                                          Port metPort) {
-  GroupCtx& ctx = groups_[gi];
-  // A group that has itself been frozen (a winner is about to collapse it)
-  // must not initiate anything: it parks at its next safe point and gets
-  // collected.  Acting here would let it march away from under the waiting
-  // winner.
-  if (ctx.frozen || ctx.dissolved || ctx.marching) co_return;
-  const std::uint32_t target = resolveGroup(other);
-  if (target == gi) co_return;
-  GroupCtx& them = groups_[target];
-  if (them.frozen || them.marching) {
-    // Busy peer: pend the meeting (dropping it could wall this tree in,
-    // since a probed port is never re-probed once `checked` advances).
-    if (std::find(ctx.pending.begin(), ctx.pending.end(), them.label) ==
-        ctx.pending.end()) {
-      ctx.pending.push_back(them.label);
-    }
-    co_return;
-  }
-  ++stats_.meetings;
-  engine_.traceEvent(TraceEventKind::Meeting, ctx.leader,
-                     engine_.positionOf(ctx.leader), ctx.label, them.label);
-
-  // |D2| < |D1| means D1 subsumes D2; ties favour the met tree (§4.2).
-  const bool iWin = them.treeSize < ctx.treeSize;
-  ++stats_.subsumptions;
-  engine_.traceEvent(TraceEventKind::Subsume,
-                     iWin ? ctx.leader : them.leader,
-                     engine_.positionOf(ctx.leader),
-                     iWin ? ctx.label : them.label,
-                     iWin ? them.label : ctx.label);
-  if (iWin) {
-    them.frozen = true;
-    engine_.traceEvent(TraceEventKind::Freeze, them.leader,
-                       engine_.positionOf(them.leader), them.label, ctx.label);
-    groups_[gi].phase = "awaitParked";
-    co_await awaitParked(target);
-    groups_[gi].phase = "collapseForeign";
-    if (!them.dissolved) {
-      co_await collapseForeign(gi, target, metPort);
-      them.dissolved = true;
-      them.absorbedBy = gi;
-    }
-  } else {
-    ctx.frozen = true;  // others must not target us mid-self-collapse
-    engine_.traceEvent(TraceEventKind::Freeze, ctx.leader,
-                       engine_.positionOf(ctx.leader), ctx.label, them.label);
-    ctx.phase = "selfCollapse";
-    co_await selfCollapseAndMarch(gi, target, metPort);
-  }
-}
+// --------------------------------------------------------------- rescan
 
 Task GeneralSyncDispersion::rescanVisit(std::uint32_t gi) {
   GroupCtx& ctx = groups_[gi];
@@ -572,28 +240,6 @@ Task GeneralSyncDispersion::rescanVisit(std::uint32_t gi) {
     if (rescanFound_) co_return;  // stay put; frames unwind without moving
     co_await moveGroup(gi, backUp);
     c = sib;
-  }
-}
-
-Task GeneralSyncDispersion::retryPending(std::uint32_t gi) {
-  GroupCtx& ctx = groups_[gi];
-  if (ctx.unsettled == 0) {
-    // A dispersed group never needs to initiate a subsumption: if a blocked
-    // peer still needs this tree's nodes, it will meet us and act (winning
-    // by collapsing us, or losing by marching its agents here).
-    ctx.pending.clear();
-    co_return;
-  }
-  std::vector<Label> todo;
-  std::swap(todo, ctx.pending);
-  for (const Label label : todo) {
-    if (ctx.frozen || ctx.dissolved) {
-      // Re-pend what we could not process; a later owner inherits it.
-      ctx.pending.push_back(label);
-      continue;
-    }
-    if (resolveGroup(label) == gi) continue;  // merged meanwhile
-    co_await handleMeeting(gi, label, kNoPort);
   }
 }
 
@@ -647,7 +293,6 @@ Task GeneralSyncDispersion::groupFiber(std::uint32_t gi) {
     }
 
     const NodeId w = engine_.positionOf(ctx.leader);
-    ctx.head = w;
 
     co_await probeStep(gi);
     co_await returnGuests(gi);
@@ -677,25 +322,8 @@ Task GeneralSyncDispersion::groupFiber(std::uint32_t gi) {
 
       co_await moveGroup(gi, next);
       const NodeId u = engine_.positionOf(ctx.leader);
-      const AgentIx foreignSettler = anySettlerAt(u);
-      bool retreat = false;
-      Label metLabel = kNoLabel;
-      if (foreignSettler != kNoAgent) {
-        retreat = true;
-        metLabel = st_[foreignSettler].label;
-      } else {
-        // Collision with a foreign group on an empty node: the smaller tree
-        // (ties: smaller label) retreats; both sides compute the same rule.
-        for (const AgentIx b : engine_.agentsAt(u)) {
-          if (st_[b].label == ctx.label || st_[b].settled) continue;
-          const std::uint32_t otherGi = resolveGroup(st_[b].label);
-          const auto mine = std::make_pair(ctx.treeSize, ctx.label);
-          const auto theirs =
-              std::make_pair(groups_[otherGi].treeSize, groups_[otherGi].label);
-          if (mine < theirs) retreat = true;
-        }
-      }
-      if (retreat) {
+      const Collision hit = forwardCollision(gi, u);
+      if (hit.retreat) {
         ++stats_.retreats;
         co_await moveGroup(gi, engine_.pinOf(ctx.leader));
         // Undo the speculative sibling link: the child was not created.
@@ -704,7 +332,7 @@ Task GeneralSyncDispersion::groupFiber(std::uint32_t gi) {
         if (prevLatest != kNoPort) {
           co_await sideTripSetNextSibling(gi, w, prevLatest, kNoPort);
         }
-        if (metLabel != kNoLabel) co_await handleMeeting(gi, metLabel, next);
+        if (hit.met != kNoLabel) co_await handleMeeting(gi, hit.met, next);
         continue;
       }
 

@@ -392,14 +392,4 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
   return 0;
 }
 
-int benchMain(const std::string& name, int argc, const char* const* argv) {
-  try {
-    const Cli cli(argc, argv);
-    return runBenches({name}, cli);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-}
-
 }  // namespace disp::exp

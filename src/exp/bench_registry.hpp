@@ -1,15 +1,11 @@
 #pragma once
-// Named registry of experiment suites + the shared bench main.
+// Named registry of experiment suites.
 //
 // Every former bench binary is one registered suite; `disp_bench` selects
-// suites by name and the per-suite binaries are one-line wrappers:
+// suites by name (`disp_bench table1_sync_rooted`).
 //
-//   int main(int argc, char** argv) {
-//     return disp::exp::benchMain("table1_sync_rooted", argc, argv);
-//   }
-//
-// Common flags (parsed by benchMain / runBenches, which reject any other
-// flag with exit code 2):
+// Common flags (parsed by runBenches, which rejects any other flag with
+// exit code 2):
 //   --threads=N      worker threads (0 = hardware concurrency, the default)
 //   --seeds=a,b,c    replicate seeds overriding each suite's single
 //                    historical seed; time cells become per-cell means and
@@ -107,9 +103,5 @@ struct ListedCell {
 /// Runs the named suites with options from `cli`; returns a process exit
 /// code (diagnostics on stderr).
 [[nodiscard]] int runBenches(const std::vector<std::string>& names, const Cli& cli);
-
-/// Entry point for the thin per-suite binaries.
-[[nodiscard]] int benchMain(const std::string& name, int argc,
-                            const char* const* argv);
 
 }  // namespace disp::exp

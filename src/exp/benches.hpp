@@ -2,8 +2,7 @@
 // The named experiment suites (the former hand-rolled bench binaries, the
 // large-k scale sweep and the ad-hoc scenario driver), each a declarative
 // body over the sweep/batch/sink subsystem.
-// Registered by name in bench_registry.cpp; the bench/*.cpp binaries are
-// thin one-line mains over benchMain().
+// Registered by name in bench_registry.cpp and run through disp_bench.
 
 #include "exp/sink.hpp"
 

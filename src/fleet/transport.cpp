@@ -90,46 +90,6 @@ void LocalTransport::terminate(std::uint64_t handle) {
   (void)::kill(static_cast<pid_t>(handle), SIGKILL);
 }
 
-// ----------------------------------------------------------------- ssh
-
-SshTransport::SshTransport(std::vector<std::string> hosts)
-    : hosts_(std::move(hosts)) {
-  if (hosts_.empty()) throw std::invalid_argument("ssh fleet wants at least one host");
-  for (const std::string& h : hosts_) {
-    if (h.empty()) throw std::invalid_argument("ssh fleet has an empty host name");
-  }
-}
-
-std::string SshTransport::describe() const {
-  std::string out = "ssh:";
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    if (i > 0) out += ',';
-    out += hosts_[i];
-  }
-  return out;
-}
-
-std::uint32_t SshTransport::slots() const {
-  return static_cast<std::uint32_t>(hosts_.size());
-}
-
-std::string SshTransport::slotName(std::uint32_t slot) const {
-  return "ssh:" + hosts_.at(slot);
-}
-
-std::uint64_t SshTransport::spawn(const std::vector<std::string>&,
-                                  const std::string&, std::uint32_t slot) {
-  throw std::runtime_error(
-      "ssh transport is a stub (host " + hosts_.at(slot) +
-      "): spec parsing and slot accounting only — run with --fleet=local:P");
-}
-
-WorkerStatus SshTransport::poll(std::uint64_t) {
-  throw std::runtime_error("ssh transport is a stub: nothing to poll");
-}
-
-void SshTransport::terminate(std::uint64_t) {}
-
 // -------------------------------------------------------------- factory
 
 std::unique_ptr<WorkerTransport> makeTransport(const std::string& spec) {
@@ -149,25 +109,8 @@ std::unique_ptr<WorkerTransport> makeTransport(const std::string& spec) {
     }
     return std::make_unique<LocalTransport>(static_cast<std::uint32_t>(p));
   }
-  if (kind == "ssh") {
-    std::vector<std::string> hosts;
-    std::string::size_type from = 0;
-    while (from <= rest.size()) {
-      const auto comma = rest.find(',', from);
-      const auto to = comma == std::string::npos ? rest.size() : comma;
-      hosts.push_back(rest.substr(from, to - from));
-      if (comma == std::string::npos) break;
-      from = comma + 1;
-    }
-    if (rest.empty()) hosts.clear();
-    try {
-      return std::make_unique<SshTransport>(std::move(hosts));
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("bad fleet spec '" + spec + "': " + e.what());
-    }
-  }
   throw std::invalid_argument("bad fleet spec '" + spec +
-                              "': known transports are local:P and ssh:host1,host2");
+                              "': the known transport is local:P");
 }
 
 }  // namespace disp::fleet

@@ -6,11 +6,6 @@
 //
 //   local:P            P-slot pool of local disp_bench processes
 //                      (fork/exec; stdout+stderr to a per-attempt log)
-//   ssh:host1,host2    one slot per host over ssh — parsed and slot-
-//                      accounted today, spawn() throws "stub": the
-//                      coordinator/manifest/collector machinery is
-//                      transport-agnostic, and this is the seam a real
-//                      remote transport plugs into
 //
 // The fail-stop model is deliberate: a worker either exits (code/signal
 // observable via poll) or makes progress observable through its shard's
@@ -36,11 +31,11 @@ class WorkerTransport {
  public:
   virtual ~WorkerTransport() = default;
 
-  /// Human-readable transport description ("local:4", "ssh:a,b").
+  /// Human-readable transport description ("local:4").
   [[nodiscard]] virtual std::string describe() const = 0;
   /// Concurrent worker slots this transport offers.
   [[nodiscard]] virtual std::uint32_t slots() const = 0;
-  /// Short per-slot label recorded in the manifest ("local:2", "ssh:b").
+  /// Short per-slot label recorded in the manifest ("local:2").
   [[nodiscard]] virtual std::string slotName(std::uint32_t slot) const = 0;
 
   /// Launches `argv` (argv[0] = binary) on `slot`, redirecting stdout and
@@ -75,26 +70,7 @@ class LocalTransport final : public WorkerTransport {
   std::uint32_t slots_;
 };
 
-/// Remote transport stub: fleet-spec parsing and slot accounting only.
-class SshTransport final : public WorkerTransport {
- public:
-  explicit SshTransport(std::vector<std::string> hosts);
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] std::uint32_t slots() const override;
-  [[nodiscard]] std::string slotName(std::uint32_t slot) const override;
-  [[nodiscard]] std::uint64_t spawn(const std::vector<std::string>& argv,
-                                    const std::string& logPath,
-                                    std::uint32_t slot) override;
-  [[nodiscard]] WorkerStatus poll(std::uint64_t handle) override;
-  void terminate(std::uint64_t handle) override;
-
-  [[nodiscard]] const std::vector<std::string>& hosts() const { return hosts_; }
-
- private:
-  std::vector<std::string> hosts_;
-};
-
-/// Parses a fleet spec ("local:4", "ssh:a,b") into a transport.
+/// Parses a fleet spec ("local:4") into a transport.
 [[nodiscard]] std::unique_ptr<WorkerTransport> makeTransport(const std::string& spec);
 
 }  // namespace disp::fleet

@@ -351,20 +351,10 @@ TEST(Transport, ParsesLocalPools) {
   EXPECT_EQ(t->slotName(2), "local:2");
 }
 
-TEST(Transport, ParsesSshHostListsAsStub) {
-  const auto t = makeTransport("ssh:alpha,beta");
-  EXPECT_EQ(t->slots(), 2u);
-  EXPECT_EQ(t->describe(), "ssh:alpha,beta");
-  EXPECT_EQ(t->slotName(1), "ssh:beta");
-  // The stub is honest: spawning throws instead of pretending.
-  EXPECT_THROW((void)t->spawn({"disp_bench"}, "/dev/null", 0),
-               std::runtime_error);
-}
-
 TEST(Transport, RejectsBadSpecs) {
   for (const char* bad :
        {"", "local", "local:", "local:0", "local:abc", "local:-2", "ssh:",
-        "ssh:a,,b", "carrier-pigeon:coop"}) {
+        "ssh:a,,b", "ssh:alpha,beta", "carrier-pigeon:coop"}) {
     EXPECT_THROW((void)makeTransport(bad), std::invalid_argument) << bad;
   }
 }

@@ -13,19 +13,19 @@
 // run fails, so fixing one means flipping its pin to "must disperse".
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <exception>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "algo/runner.hpp"
 
 namespace disp {
 namespace {
 
-constexpr const char* kFamilies[] = {"er",       "grid",    "path",   "randtree",
-                                     "star",     "lollipop", "barbell", "expander"};
+constexpr const char* kFamilies[] = {"er",   "grid",     "path",    "randtree",
+                                     "star", "lollipop", "barbell", "expander"};
 constexpr std::uint32_t kKs[] = {8, 16, 32, 64};
 constexpr const char* kPlacements[] = {"clusters:l=2", "clusters:l=4", "clusters:l=8",
                                        "adversarial:far,l=4",
@@ -131,7 +131,6 @@ constexpr const char* kCap32 =
 constexpr const char* kCap64 =
     "threw: SyncEngine: round limit exceeded (deadlock or bug); round=1685080";
 
-// clang-format off
 const KnownBad kKnownBad[] = {
     // Round cap (livelock), general_sync.
     {&kSync, "randtree", 16, "clusters:l=4", 5, kCap16},
@@ -157,7 +156,6 @@ const KnownBad kKnownBad[] = {
     {&kWeighted, "lollipop", 32, "clusters:l=8", 19,
      "NOT dispersed time=32 moves=774 memBits=171 activations=8071"},
 };
-// clang-format on
 
 /// Runs the grid for one case over seeds [first, last] and returns its
 /// digest.  Every failing run must be one of the pinned known-bad runs.
@@ -225,15 +223,30 @@ TEST(GeneralSweep, DISABLED_AsyncWeightedSeeds1To30) {
 }
 
 // Each known-bad run keeps its recorded outcome until ROADMAP item 1
-// fixes it.
-TEST(GeneralSweep, KnownBadRunsKeepTheirOutcome) {
-  for (const KnownBad& bad : kKnownBad) {
-    const Outcome o = runOne(*bad.c, bad.family, bad.k, bad.placement, bad.seed);
-    EXPECT_EQ(o.text(), bad.outcome)
-        << bad.c->algorithm << " " << bad.c->scheduler << " "
-        << runName(bad.family, bad.k, bad.placement, bad.seed);
-  }
+// fixes it.  One test per run, named after it, so ctest -j spreads the
+// round-cap runs.
+class KnownBadRun : public ::testing::TestWithParam<KnownBad> {};
+
+TEST_P(KnownBadRun, KeepsItsOutcome) {
+  const KnownBad& bad = GetParam();
+  const Outcome o = runOne(*bad.c, bad.family, bad.k, bad.placement, bad.seed);
+  EXPECT_EQ(o.text(), bad.outcome);
 }
+
+std::string knownBadName(const ::testing::TestParamInfo<KnownBad>& info) {
+  const KnownBad& bad = info.param;
+  std::string name = std::string(bad.c->algorithm) == "general_sync"
+                         ? std::string("sync")
+                         : std::string("async_") + bad.c->scheduler;
+  name += "_" + runName(bad.family, bad.k, bad.placement, bad.seed);
+  for (char& ch : name) {
+    if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(GeneralSweep, KnownBadRun, ::testing::ValuesIn(kKnownBad),
+                         knownBadName);
 
 }  // namespace
 }  // namespace disp

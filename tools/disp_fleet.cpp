@@ -30,7 +30,7 @@ namespace fs = std::filesystem;
 using disp::Cli;
 
 void printUsage(std::ostream& os) {
-  os << "usage: disp_fleet run <sweep>... [--fleet=local:P|ssh:h1,h2]\n"
+  os << "usage: disp_fleet run <sweep>... [--fleet=local:P]\n"
         "                   [--dir=DIR] [--shards=N | --cells-per-shard=C]\n"
         "                   [--max-attempts=A] [--stall-timeout=SEC]\n"
         "                   [--backoff=SEC] [--poll-interval=SEC]\n"
