@@ -1,22 +1,28 @@
-// Equality gate over the two general protocols (general_sync and
-// general_async under all four schedulers): a fixed grid of runScenario
-// runs, each run's outcome folded into one FNV-1a digest per case.  A
-// refactor of either protocol must keep every digest byte-identical.
+// Equality gate over the general protocols (general_sync, and general_async
+// under all four schedulers) and over rooted_async (all four schedulers),
+// which shares its ASYNC growing phase with general_async: a fixed grid of
+// runScenario runs, each run's outcome folded into one FNV-1a digest per
+// case.  A refactor of any of these protocols must keep every digest
+// byte-identical.
 //
-// Grid: 8 graph families x k in {8, 16, 32, 64} x 5 placements x seeds, with
-// n = 2k and the seed driving graph, placement and run.  Tier-1 runs seeds
-// 1-2 (1,600 runs); the DISABLED_ twins run seeds 1-30 (24,000 runs) and
-// run in CI with --gtest_also_run_disabled_tests.
+// Grid: 8 graph families x k in {8, 16, 32, 64} x placements x seeds, with
+// n = 2k and the seed driving graph, placement and run.  The general cases
+// run 5 clustered placements, the rooted cases `rooted` and
+// `adversarial:hot`.  Tier-1 runs seeds 1-2 (1,600 general and 512 rooted
+// runs); the DISABLED_ twins run seeds 1-30 (24,000 general and 7,680
+// rooted runs) and run in CI with --gtest_also_run_disabled_tests.
 //
-// The grid holds 16 known-bad runs (ROADMAP item 1).  Each is pinned below
-// by name with its recorded outcome, and every sweep checks that no other
-// run fails, so fixing one means flipping its pin to "must disperse".
+// The grid holds 16 known-bad runs (ROADMAP item 1), all general.  Each is
+// pinned below by name with its recorded outcome, and every sweep checks
+// that no other run fails, so fixing one means flipping its pin to "must
+// disperse".
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
 #include <exception>
 #include <set>
+#include <span>
 #include <string>
 
 #include "algo/runner.hpp"
@@ -27,19 +33,25 @@ namespace {
 constexpr const char* kFamilies[] = {"er",   "grid",     "path",    "randtree",
                                      "star", "lollipop", "barbell", "expander"};
 constexpr std::uint32_t kKs[] = {8, 16, 32, 64};
-constexpr const char* kPlacements[] = {"clusters:l=2", "clusters:l=4", "clusters:l=8",
-                                       "adversarial:far,l=4",
-                                       "adversarial:frontier,l=4"};
+constexpr const char* kGeneralPlacements[] = {"clusters:l=2", "clusters:l=4",
+                                              "clusters:l=8", "adversarial:far,l=4",
+                                              "adversarial:frontier,l=4"};
+constexpr const char* kRootedPlacements[] = {"rooted", "adversarial:hot"};
 
 struct Case {
   const char* algorithm;
   const char* scheduler;  // ignored by general_sync
+  std::span<const char* const> placements;
 };
-constexpr Case kSync{"general_sync", "round_robin"};
-constexpr Case kRoundRobin{"general_async", "round_robin"};
-constexpr Case kShuffled{"general_async", "shuffled"};
-constexpr Case kUniform{"general_async", "uniform"};
-constexpr Case kWeighted{"general_async", "weighted"};
+constexpr Case kSync{"general_sync", "round_robin", kGeneralPlacements};
+constexpr Case kRoundRobin{"general_async", "round_robin", kGeneralPlacements};
+constexpr Case kShuffled{"general_async", "shuffled", kGeneralPlacements};
+constexpr Case kUniform{"general_async", "uniform", kGeneralPlacements};
+constexpr Case kWeighted{"general_async", "weighted", kGeneralPlacements};
+constexpr Case kRootedRoundRobin{"rooted_async", "round_robin", kRootedPlacements};
+constexpr Case kRootedShuffled{"rooted_async", "shuffled", kRootedPlacements};
+constexpr Case kRootedUniform{"rooted_async", "uniform", kRootedPlacements};
+constexpr Case kRootedWeighted{"rooted_async", "weighted", kRootedPlacements};
 
 /// A run's recorded outcome: the RunResult summary, or the exception text.
 struct Outcome {
@@ -170,7 +182,7 @@ std::uint64_t sweepDigest(const Case& c, std::uint64_t first, std::uint64_t last
   Fnv h;
   for (const char* family : kFamilies) {
     for (const std::uint32_t k : kKs) {
-      for (const char* placement : kPlacements) {
+      for (const char* placement : c.placements) {
         for (std::uint64_t seed = first; seed <= last; ++seed) {
           const Outcome o = runOne(c, family, k, placement, seed);
           mixOutcome(h, o);
@@ -220,6 +232,34 @@ TEST(GeneralSweep, DISABLED_AsyncUniformSeeds1To30) {
 }
 TEST(GeneralSweep, DISABLED_AsyncWeightedSeeds1To30) {
   expectDigest(kWeighted, 1, 30, 0x6453038a6f3a01b6ULL);
+}
+
+// Digests recorded before rooted_async and general_async shared their ASYNC
+// growing phase; seeds 1-2 (tier-1) and 1-30 (full sweep).
+TEST(GeneralSweep, RootedAsyncRoundRobinSeeds1To2) {
+  expectDigest(kRootedRoundRobin, 1, 2, 0xbbe468619ff77692ULL);
+}
+TEST(GeneralSweep, RootedAsyncShuffledSeeds1To2) {
+  expectDigest(kRootedShuffled, 1, 2, 0x6d272628deb5cfb5ULL);
+}
+TEST(GeneralSweep, RootedAsyncUniformSeeds1To2) {
+  expectDigest(kRootedUniform, 1, 2, 0x30705905f64e453aULL);
+}
+TEST(GeneralSweep, RootedAsyncWeightedSeeds1To2) {
+  expectDigest(kRootedWeighted, 1, 2, 0x10541ae60642260dULL);
+}
+
+TEST(GeneralSweep, DISABLED_RootedAsyncRoundRobinSeeds1To30) {
+  expectDigest(kRootedRoundRobin, 1, 30, 0x28cfb1359a4e1cd6ULL);
+}
+TEST(GeneralSweep, DISABLED_RootedAsyncShuffledSeeds1To30) {
+  expectDigest(kRootedShuffled, 1, 30, 0x824288d864c2adbaULL);
+}
+TEST(GeneralSweep, DISABLED_RootedAsyncUniformSeeds1To30) {
+  expectDigest(kRootedUniform, 1, 30, 0xa65419679a0f3959ULL);
+}
+TEST(GeneralSweep, DISABLED_RootedAsyncWeightedSeeds1To30) {
+  expectDigest(kRootedWeighted, 1, 30, 0x6be50218378c8543ULL);
 }
 
 // Each known-bad run keeps its recorded outcome until ROADMAP item 1
