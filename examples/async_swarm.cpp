@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
 
   Table t({"scheduler", "epochs", "activations", "moves", "dispersed"});
   for (const auto& sched : knownSchedulers()) {
-    const RunResult r = runDispersion(cavern, p, {Algorithm::RootedAsync, sched, seed});
+    const RunResult r = runSession(
+        cavern, p, {.algorithm = "rooted_async", .scheduler = sched, .seed = seed});
     t.row()
         .cell(sched)
         .cell(r.time)

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const std::string placement =
       cli.str("placement", "clusters:l=" + std::to_string(depots));
   const Placement p = PlacementSpec::parse(placement).place(city, cars, seed);
-  const RunResult r = runDispersion(city, p, {Algorithm::GeneralSync});
+  const RunResult r = runSession(city, p, {.algorithm = "general_sync"});
 
   std::cout << "relocation " << (r.dispersed ? "succeeded" : "FAILED") << " in "
             << r.time << " rounds; total driving: " << r.totalMoves

@@ -7,6 +7,7 @@
 //   ./load_balancing [--jobs=96] [--servers=192] [--degree=4] [--seed=11]
 #include <iostream>
 
+#include "algo/registry.hpp"
 #include "algo/runner.hpp"
 #include "graph/generators.hpp"
 #include "util/cli.hpp"
@@ -28,19 +29,20 @@ int main(int argc, char** argv) {
             << degree << "-regular overlay\n\n";
 
   Table t({"algorithm", "model", "time", "hops", "hops/job", "memory bits"});
-  for (const Algorithm algo :
-       {Algorithm::RootedSync, Algorithm::GeneralSync, Algorithm::KsSync,
-        Algorithm::RootedAsync, Algorithm::KsAsync}) {
-    const RunResult r = runDispersion(overlay, p, {algo, "uniform", seed});
+  for (const char* key :
+       {"rooted_sync", "general_sync", "ks_sync", "rooted_async", "ks_async"}) {
+    const AlgorithmTraits& algo = algorithmDef(key).traits;
+    const RunResult r =
+        runSession(overlay, p, {.algorithm = key, .scheduler = "uniform", .seed = seed});
     t.row()
-        .cell(algorithmName(algo))
-        .cell(std::string(isAsync(algo) ? "ASYNC(epochs)" : "SYNC(rounds)"))
+        .cell(algo.display)
+        .cell(std::string(algo.isAsync ? "ASYNC(epochs)" : "SYNC(rounds)"))
         .cell(r.time)
         .cell(r.totalMoves)
         .cell(double(r.totalMoves) / jobs, 1)
         .cell(r.maxMemoryBits);
     if (!r.dispersed) {
-      std::cout << "!! " << algorithmName(algo) << " failed to balance\n";
+      std::cout << "!! " << algo.display << " failed to balance\n";
       return 1;
     }
   }

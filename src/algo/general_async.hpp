@@ -4,20 +4,21 @@
 // O(k log k) epochs with O(log(k+Δ)) bits per agent, in the ASYNC model,
 // under any fair scheduler.
 //
-// Composition (paper §8.2): each of the ℓ groups runs the RootedAsyncDisp
-// growing phase — Async_Probe helper doubling, Guest_See_Off, and the §4.3
-// in-transit-helper hazard handling, all label-scoped — while meetings
-// between groups are resolved by KS subsumption (algo/subsumption.hpp,
-// shared with general_sync.*): sizes are compared, the loser freezes and is
-// collapsed by an Euler walk over its DFS tree (or collapses itself and
-// marches to the winner), and forward-move collisions on an empty node are
-// resolved by the squatting rule (the larger tree squats, the smaller
-// retreats).
+// Composition (paper §8.2): each of the ℓ groups runs the ASYNC growing
+// phase — Async_Probe helper doubling, Guest_See_Off, and the §4.3
+// in-transit-helper hazard handling, all label-scoped — from
+// algo/async_growth.hpp, the module rooted_async runs as its one group;
+// here the probe's port limit is min(deg(w), k).  Meetings between groups
+// are resolved by KS subsumption (algo/subsumption.hpp, shared with
+// general_sync.*): sizes are compared, the loser freezes and is collapsed
+// by an Euler walk over its DFS tree (or collapses itself and marches to
+// the winner), and forward-move collisions on an empty node are resolved
+// by the squatting rule (the larger tree squats, the smaller retreats).
 //
 // ASYNC-specific structure (one fiber per agent, as the engine requires):
 //  * every agent runs agentFiber(); a group leader's fiber enters
-//    leaderLoop() and falls back to plain order-following participant mode
-//    when its group parks (frozen), dissolves, or fully disperses;
+//    leaderLoop() and falls back to the shared participant errands when
+//    its group parks (frozen), dissolves, or fully disperses;
 //  * a dispersed group's settled ex-leader stays its *anchor*: marching
 //    loser groups navigate to it, and it absorbs them and hands leadership
 //    to the largest-ID newcomer, which resumes the DFS from the anchor's
@@ -38,6 +39,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "algo/async_growth.hpp"
 #include "algo/probe_index.hpp"
 #include "algo/subsumption.hpp"
 #include "core/async_engine.hpp"
@@ -47,13 +49,9 @@
 
 namespace disp {
 
-struct GeneralAsyncStats {
+struct GeneralAsyncStats : AsyncGrowthStats {
   std::uint64_t forwardMoves = 0;
   std::uint64_t backtracks = 0;
-  std::uint64_t probes = 0;
-  std::uint64_t probeIterations = 0;
-  std::uint64_t guestsRecruited = 0;
-  std::uint64_t seeOffSweeps = 0;
   std::uint64_t meetings = 0;
   std::uint64_t subsumptions = 0;
   std::uint64_t collapseHops = 0;
@@ -61,7 +59,8 @@ struct GeneralAsyncStats {
   std::uint64_t handoffs = 0;  // leadership re-elections after an absorb
 };
 
-class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion> {
+class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion>,
+                               public AsyncGrowth<GeneralAsyncDispersion> {
  public:
   /// Groups are inferred from co-location in the engine's initial world:
   /// one group per occupied node (any ℓ in [1, k]).
@@ -86,46 +85,15 @@ class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion> {
 
  private:
   friend class KsSubsumption<GeneralAsyncDispersion>;
+  friend class AsyncGrowth<GeneralAsyncDispersion>;
 
   static constexpr std::uint32_t kNoGroup = static_cast<std::uint32_t>(-1);
 
-  struct AgentState {
-    Label label = kNoLabel;
-    bool settled = false;
-    bool isGuest = false;
-    NodeId settledAt = kInvalidNode;  // simulation-side assertion key
-    Port parentPort = kNoPort;        // settler: DFS-tree parent
-
+  struct AgentState : AsyncGrowthState {
     // --- settler tree record (collapse-walk child chain, general_sync) ---
     Port firstChildPort = kNoPort;
     Port latestChildPort = kNoPort;
     Port nextSiblingPort = kNoPort;
-
-    // --- settler blackboard (the α(w).* variables + probe counters) ---
-    Port checked = 0;          // Async_Probe progress at this node
-    Port nextFound = kNoPort;  // smallest empty port reported this iteration
-    std::uint32_t outCount = 0;
-    std::uint32_t retCount = 0;
-    std::uint32_t guestExpected = 0;
-    std::uint32_t guestArrived = 0;
-    std::uint32_t seeOffExpected = 0;
-    std::uint32_t seeOffReturned = 0;
-
-    // --- orders written by the leader / probers (communicate phase) ---
-    Port orderProbePort = kNoPort;   // follower/guest: probe this port of w
-    Port orderGuestGoTo = kNoPort;   // settler at a probed neighbor: go to w
-    bool orderGoHome = false;        // guest: exit w via its own entry port
-    Port orderChaperone = kNoPort;   // guest: escort partner via this port
-    Port orderEscort = kNoPort;      // settler α(w): escort the last guest
-    Port orderFollow = kNoPort;      // follower: group move via this port
-
-    // --- guest / prober bookkeeping ---
-    Port guestEntryPort = kNoPort;  // port of w through which it entered w
-    bool needRegister = false;      // guest must report arrival at w
-    bool needReport = false;        // prober must report results at w
-    bool reportEmpty = false;
-    bool reportGuest = false;
-    Label reportMet = kNoLabel;     // smallest foreign label seen, if any
   };
 
   // --- fibers -----------------------------------------------------------
@@ -134,15 +102,11 @@ class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion> {
   /// the group parks, dissolves, or disperses; the caller then continues in
   /// participant mode.
   Task leaderLoop(std::uint32_t gi, AgentIx self);
-  /// Handles one pending participant order, if any (probe errand, guest
-  /// trip, see-off, follow).  May span several activations internally;
-  /// returns with the current activation still owned by the caller.
-  Task participantStep(AgentIx self);
 
   // --- leader sub-phases ------------------------------------------------
-  Task probePhase(std::uint32_t gi, AgentIx self);  // result in probeNext_ / probeMet_
-  Task seeOffPhase(std::uint32_t gi, AgentIx self);
-  Task leaderProbeTrip(std::uint32_t gi, AgentIx self, Port port);
+  /// Async_Probe then Guest_See_Off at the leader's node; result in
+  /// probeNext_[gi] / probeMet_[gi].
+  Task probeAndSeeOff(std::uint32_t gi, AgentIx self);
   Task sideTripSetNextSibling(std::uint32_t gi, AgentIx self, Port prevChildPort,
                               Port newChildPort);
   Task rescanVisit(std::uint32_t gi, AgentIx self);
@@ -150,18 +114,6 @@ class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion> {
   // --- dormant-anchor duties (runs inside participant mode) -------------
   void dormantDuties(AgentIx self);
 
-  /// What a probe saw at the probed node, plus any recruitment performed.
-  struct ProbeSight {
-    AgentIx settler = kNoAgent;  // own-label home settler (now recruited)
-    Label met = kNoLabel;        // smallest foreign label present, if any
-    bool empty = false;          // prober stands there alone
-  };
-  /// Communicate step of a probe at the prober's current node: classify
-  /// and recruit.  Shared by participant probers and leader trips.
-  ProbeSight observeAndRecruit(AgentIx self, Label label);
-
-  [[nodiscard]] const std::vector<AgentIx>& availableProbersAt(NodeId w,
-                                                               Label label) const;
   [[nodiscard]] bool groupConsolidatedAt(Label label, NodeId v) const;
   void settle(std::uint32_t gi, AgentIx a, NodeId at, Port parentPort);
 
@@ -189,12 +141,6 @@ class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion> {
 
   AsyncEngine& engine_;
   std::vector<AgentState> st_;
-  /// Scratch for availableProbersAt (consumed before any co_await).
-  mutable std::vector<AgentIx> probersScratch_;
-  /// Followers + guest helpers bucketed by node (label-agnostic; the query
-  /// filters labels): availableProbersAt reads the w bucket instead of
-  /// scanning every occupant of w (DESIGN.md §9.4).
-  IdleProberIndex proberIdx_;
   /// Per-label unsettled count + position fingerprint: groupConsolidatedAt
   /// drops from an O(k) all-agent scan (run on every reassembly-wait
   /// activation) to two O(1) lookups.  Labels never outlive the initial
@@ -208,10 +154,8 @@ class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion> {
   // Per-agent: group this settled ex-leader anchors, if any.
   std::vector<std::uint32_t> anchorOf_;
 
-  // Per-group scratch (protocol-local values surfaced for the fibers).
-  std::vector<Port> probeNext_;
-  std::vector<std::vector<std::pair<Label, Port>>> probeMet_;
-  std::vector<std::uint8_t> rescanFound_;  // per group: two can rescan at once
+  // Per group: a rescan stopped at a finding (two groups can rescan at once).
+  std::vector<std::uint8_t> rescanFound_;
 };
 
 }  // namespace disp

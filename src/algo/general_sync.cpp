@@ -94,7 +94,7 @@ Task GeneralSyncDispersion::probeStep(std::uint32_t gi) {
   ctx.phase = "probe";
   const Graph& g = engine_.graph();
   const NodeId w = engine_.positionOf(ctx.leader);
-  const AgentIx aw = homeSettlerAt(w, ctx.label);
+  const AgentIx aw = homeSettlerAt(engine_, st_, w, ctx.label);
   DISP_CHECK(aw != kNoAgent, "probe at a node without an own settler");
   const Port limit =
       static_cast<Port>(std::min<std::uint32_t>(g.degree(w), engine_.agentCount()));
@@ -141,7 +141,7 @@ Task GeneralSyncDispersion::probeStep(std::uint32_t gi) {
     for (Port i = 0; i < delta; ++i) {
       const Port port = st_[aw].checked + 1 + i;
       const NodeId ui = engine_.positionOf(avail[i]);
-      const AgentIx own = homeSettlerAt(ui, ctx.label);
+      const AgentIx own = homeSettlerAt(engine_, st_, ui, ctx.label);
       bool foreign = false;
       Label foreignLabel = kNoLabel;
       for (const AgentIx b : engine_.agentsAt(ui)) {
@@ -205,7 +205,8 @@ Task GeneralSyncDispersion::sideTripSetNextSibling(std::uint32_t gi, NodeId w,
   const AgentIx m = members.front();
   engine_.stageMove(m, prevChildPort);
   co_await engine_.nextRound();
-  const AgentIx prev = homeSettlerAt(engine_.positionOf(m), groups_[gi].label);
+  const AgentIx prev =
+      homeSettlerAt(engine_, st_, engine_.positionOf(m), groups_[gi].label);
   DISP_CHECK(prev != kNoAgent, "previous child lost its settler");
   st_[prev].nextSiblingPort = newChildPort;
   engine_.stageMove(m, engine_.pinOf(m));
@@ -218,7 +219,7 @@ Task GeneralSyncDispersion::rescanVisit(std::uint32_t gi) {
   GroupCtx& ctx = groups_[gi];
   ctx.phase = "rescan";
   const NodeId cur = engine_.positionOf(ctx.leader);
-  const AgentIx settler = homeSettlerAt(cur, ctx.label);
+  const AgentIx settler = homeSettlerAt(engine_, st_, cur, ctx.label);
   DISP_CHECK(settler != kNoAgent, "rescan reached a non-own node");
 
   st_[settler].checked = 0;
@@ -233,7 +234,8 @@ Task GeneralSyncDispersion::rescanVisit(std::uint32_t gi) {
   while (c != kNoPort) {
     co_await moveGroup(gi, c);
     const Port backUp = engine_.pinOf(ctx.leader);
-    const AgentIx cs = homeSettlerAt(engine_.positionOf(ctx.leader), ctx.label);
+    const AgentIx cs =
+        homeSettlerAt(engine_, st_, engine_.positionOf(ctx.leader), ctx.label);
     DISP_CHECK(cs != kNoAgent, "rescan child without settler");
     const Port sib = st_[cs].nextSiblingPort;
     co_await rescanVisit(gi);
@@ -305,7 +307,7 @@ Task GeneralSyncDispersion::groupFiber(std::uint32_t gi) {
     if (ctx.dissolved || ctx.frozen) continue;
 
     const Port next = probeNext_[gi];
-    const AgentIx aw = homeSettlerAt(w, ctx.label);
+    const AgentIx aw = homeSettlerAt(engine_, st_, w, ctx.label);
     DISP_CHECK(aw != kNoAgent, "head lost its settler");
 
     if (next != kNoPort) {

@@ -82,12 +82,6 @@ void OscillatorSystem::addSiblingStop(AgentIx agent, Port parentPort,
   duty_[agent] = 1;
 }
 
-bool OscillatorSystem::isAtHome(AgentIx agent) const {
-  const Osc* osc = find(agent);
-  if (osc == nullptr) return true;
-  return engine_.positionOf(agent) == osc->home;
-}
-
 std::optional<Port> OscillatorSystem::currentStopPort(AgentIx agent) const {
   const Osc* osc = find(agent);
   if (osc == nullptr || osc->atStop == kNoPort) return std::nullopt;

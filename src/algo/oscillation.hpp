@@ -54,10 +54,6 @@ class OscillatorSystem {
     return duty_[agent] != 0;
   }
 
-  /// True iff the agent is physically at its home node (trivially true for
-  /// non-oscillating agents).
-  [[nodiscard]] bool isAtHome(AgentIx agent) const;
-
   /// True iff the agent is at home *between* trips — the only moment new
   /// stops may be added, so that every stop is visited within 6 rounds of
   /// assignment.  Occurs at least once every 6 rounds.

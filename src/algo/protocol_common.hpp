@@ -17,8 +17,10 @@
 
 namespace disp {
 
-/// Sentinel treelabel for "no DFS" contexts (rooted runs use label 0).
-inline constexpr std::uint32_t kNoTree = static_cast<std::uint32_t>(-1);
+/// A DFS tree's label.  The general protocols label each group by its
+/// index in the group table; rooted_async labels every agent 0.
+using Label = std::uint32_t;
+inline constexpr Label kNoLabel = static_cast<Label>(-1);
 
 /// Finds the settled agent at node v, or kNoAgent.  `settledFlag` is the
 /// algorithm's per-agent settled predicate.
@@ -26,6 +28,18 @@ template <typename Engine, typename Pred>
 [[nodiscard]] AgentIx settlerAt(const Engine& engine, NodeId v, Pred&& isSettler) {
   for (const AgentIx a : engine.agentsAt(v)) {
     if (isSettler(a)) return a;
+  }
+  return kNoAgent;
+}
+
+/// The home settler of `label` at node v (settled there and not away as a
+/// guest), or kNoAgent.  `st` is the protocol's per-agent state vector.
+template <typename Engine, typename State>
+[[nodiscard]] AgentIx homeSettlerAt(const Engine& engine, const std::vector<State>& st,
+                                    NodeId v, Label label) {
+  for (const AgentIx a : engine.agentsAt(v)) {
+    const State& s = st[a];
+    if (s.settled && !s.isGuest && s.settledAt == v && s.label == label) return a;
   }
   return kNoAgent;
 }

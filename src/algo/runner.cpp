@@ -14,20 +14,6 @@
 
 namespace disp {
 
-const std::string& algorithmKey(Algorithm a) {
-  static const std::string keys[] = {"rooted_sync", "rooted_async", "general_sync",
-                                     "general_async", "ks_sync", "ks_async"};
-  const auto ix = static_cast<std::size_t>(a);
-  DISP_CHECK(ix < std::size(keys), "unknown algorithm");
-  return keys[ix];
-}
-
-const std::string& algorithmName(Algorithm a) {
-  return algorithmDef(algorithmKey(a)).traits.display;
-}
-
-bool isAsync(Algorithm a) { return algorithmDef(algorithmKey(a)).traits.isAsync; }
-
 namespace {
 
 RunResult finishSync(SyncEngine& engine, bool dispersed) {
@@ -189,16 +175,6 @@ RunResult runScenario(const std::string& graphSpec, const std::string& placement
                                    PortLabeling::RandomPermutation);
   const Placement p = PlacementSpec::parse(placementSpec).place(g, k, opts.seed);
   return runSession(g, p, opts);
-}
-
-RunResult runDispersion(const Graph& g, const Placement& placement,
-                        const RunSpec& spec) {
-  RunOptions opts;
-  opts.algorithm = algorithmKey(spec.algorithm);
-  opts.scheduler = spec.scheduler;
-  opts.seed = spec.seed;
-  opts.limit = spec.limit;
-  return runSession(g, placement, opts);
 }
 
 }  // namespace disp

@@ -35,8 +35,8 @@
 // unobserved one at the same seed, and the zero-observer path is the exact
 // pre-observer hot path.
 //
-// The historical enum-keyed facade (Algorithm / RunSpec / runDispersion)
-// remains as a thin compatibility wrapper over runSession.
+// RunOptions is an aggregate, so a one-off run can name only what it sets:
+//   runSession(g, p, {.algorithm = "rooted_async", .scheduler = "uniform", .seed = 7});
 
 #include <cstdint>
 #include <functional>
@@ -73,18 +73,20 @@ struct RunOptions {
   std::string faults = "none";
 
   // --- observability (all optional; see core/trace.hpp) ---
+  // Every field has a default member initializer, so designated
+  // initializers that skip the hooks stay clean under -Wextra.
   /// Typed trace-event stream, emitted by the engine and the protocol.
-  std::function<void(const TraceEvent&)> onEvent;
+  std::function<void(const TraceEvent&)> onEvent{};
   /// Sampled snapshots: onRound fires for SYNC algorithms, onActivation
   /// for ASYNC ones (every sampleEvery rounds/activations, plus a final
   /// off-cadence snapshot at run end).
-  std::function<void(const StepSnapshot&)> onRound;
-  std::function<void(const StepSnapshot&)> onActivation;
+  std::function<void(const StepSnapshot&)> onRound{};
+  std::function<void(const StepSnapshot&)> onActivation{};
   /// Snapshot / trajectory cadence; 1 = every round/activation.
   std::uint64_t sampleEvery = 1;
   /// Early-stop predicate, checked at the sampling cadence: return true to
   /// end the run; RunResult::stoppedEarly reports the truncation.
-  std::function<bool(const StepSnapshot&)> stopWhen;
+  std::function<bool(const StepSnapshot&)> stopWhen{};
   /// Capture a {time, settled, totalMoves} series at the sampling cadence
   /// into RunResult::trajectory.
   bool captureTrajectory = false;
@@ -120,35 +122,5 @@ struct RunOptions {
                                     const std::string& placementSpec,
                                     std::uint32_t k, const RunOptions& opts = {},
                                     std::uint32_t n = 0);
-
-// ------------------------------------------------------------- compat shim
-
-/// Historical enum-keyed algorithm menu; prefer the registry keys.
-enum class Algorithm {
-  RootedSync,
-  RootedAsync,
-  GeneralSync,
-  GeneralAsync,
-  KsSync,
-  KsAsync,
-};
-
-/// Historical run spec; prefer RunOptions.
-struct RunSpec {
-  Algorithm algorithm = Algorithm::RootedSync;
-  std::string scheduler = "round_robin";
-  std::uint64_t seed = 1;
-  std::uint64_t limit = 0;
-};
-
-/// Thin compatibility wrapper over runSession (no observers).
-[[nodiscard]] RunResult runDispersion(const Graph& g, const Placement& placement,
-                                      const RunSpec& spec);
-
-/// Registry key of a legacy enum value ("rooted_sync", ...).
-[[nodiscard]] const std::string& algorithmKey(Algorithm a);
-/// Historical display name ("RootedSyncDisp", ...); registry-backed.
-[[nodiscard]] const std::string& algorithmName(Algorithm a);
-[[nodiscard]] bool isAsync(Algorithm a);
 
 }  // namespace disp

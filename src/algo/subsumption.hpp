@@ -47,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "algo/protocol_common.hpp"
 #include "core/fiber.hpp"
 #include "core/metrics.hpp"
 #include "core/trace.hpp"
@@ -81,9 +82,6 @@ class KsSubsumption {
   }
 
  protected:
-  using Label = std::uint32_t;
-  static constexpr Label kNoLabel = static_cast<Label>(-1);
-
   /// One group; its label is its index in groups_.
   struct GroupCtx {
     Label label = 0;
@@ -117,7 +115,6 @@ class KsSubsumption {
     while (groups_[g].dissolved) g = groups_[g].absorbedBy;
     return g;
   }
-  [[nodiscard]] AgentIx homeSettlerAt(NodeId v, Label label) const;
   [[nodiscard]] AgentIx anySettlerAt(NodeId v) const;  // any label
 
   /// metPort == kNoPort means a pended retry: the collapse then marches to
@@ -188,16 +185,6 @@ bool KsSubsumption<Protocol>::dispersed() const {
     where.push_back(engine().positionOf(a));
   }
   return isDispersed(where);
-}
-
-template <typename Protocol>
-AgentIx KsSubsumption<Protocol>::homeSettlerAt(NodeId v, Label label) const {
-  for (const AgentIx a : engine().agentsAt(v)) {
-    if (st(a).settled && !st(a).isGuest && st(a).settledAt == v && st(a).label == label) {
-      return a;
-    }
-  }
-  return kNoAgent;
 }
 
 template <typename Protocol>
@@ -355,7 +342,7 @@ Task KsSubsumption<Protocol>::collapseVisit(std::uint32_t gi, Label loserLabel,
   // loser's parked leader): they change allegiance and walk with us.
   adoptAt(gi, loserLabel, cur);
 
-  const AgentIx ls = homeSettlerAt(cur, loserLabel);
+  const AgentIx ls = homeSettlerAt(engine, proto().st_, cur, loserLabel);
   if (ls == kNoAgent) {
     std::string diag = "collapse walk: loser tree node without settler: node=" +
                        std::to_string(cur) + " loser=" + std::to_string(loserLabel) +
@@ -375,7 +362,8 @@ Task KsSubsumption<Protocol>::collapseVisit(std::uint32_t gi, Label loserLabel,
   while (c != kNoPort) {
     if (c == exclPort) {
       co_await proto().moveGroup(gi, c);
-      const AgentIx cs = homeSettlerAt(engine.positionOf(ctx.leader), loserLabel);
+      const AgentIx cs =
+          homeSettlerAt(engine, proto().st_, engine.positionOf(ctx.leader), loserLabel);
       const Port sib = (cs != kNoAgent) ? st(cs).nextSiblingPort : kNoPort;
       co_await proto().moveGroup(gi, engine.pinOf(ctx.leader));
       c = sib;
@@ -383,7 +371,8 @@ Task KsSubsumption<Protocol>::collapseVisit(std::uint32_t gi, Label loserLabel,
     }
     co_await proto().moveGroup(gi, c);
     const Port backUp = engine.pinOf(ctx.leader);
-    const AgentIx cs = homeSettlerAt(engine.positionOf(ctx.leader), loserLabel);
+    const AgentIx cs =
+        homeSettlerAt(engine, proto().st_, engine.positionOf(ctx.leader), loserLabel);
     DISP_CHECK(cs != kNoAgent, "collapse walk: child without settler");
     const Port sib = st(cs).nextSiblingPort;
     co_await collapseVisit(gi, loserLabel, backUp);
@@ -426,7 +415,8 @@ Task KsSubsumption<Protocol>::collapseForeign(std::uint32_t gi, std::uint32_t lo
     // in transit); fall back to the march path then.
     co_await proto().moveGroup(gi, metPort);
     const Port backToHead = engine.pinOf(ctx.leader);
-    if (homeSettlerAt(engine.positionOf(ctx.leader), groups_[loser].label) != kNoAgent) {
+    if (homeSettlerAt(engine, proto().st_, engine.positionOf(ctx.leader),
+                      groups_[loser].label) != kNoAgent) {
       usedPort = true;
       co_await collapseVisit(gi, groups_[loser].label, kNoPort);
     }
@@ -441,7 +431,7 @@ Task KsSubsumption<Protocol>::collapseForeign(std::uint32_t gi, std::uint32_t lo
     const AgentIx loserAnchor = groups_[loser].leader;
     co_await marchToward(gi, loserAnchor);
     co_await collapseVisit(gi, groups_[loser].label, kNoPort);
-    const AgentIx homeAnchor = homeSettlerAt(myHead, ctx.label);
+    const AgentIx homeAnchor = homeSettlerAt(engine, proto().st_, myHead, ctx.label);
     DISP_CHECK(homeAnchor != kNoAgent, "head lost its settler during collapse");
     co_await marchToward(gi, homeAnchor);
   }

@@ -1,6 +1,6 @@
 // Tests for the src/exp/ experiment driver: sweep enumeration, the batch
 // runner's thread-count invariance (bit-identical cells for 1 vs 4+
-// workers), concurrent runDispersion calls on shared Graph instances, the
+// workers), concurrent runSession calls on shared Graph instances, the
 // JSONL sink format, and runBenches' flag check.  The *Concurrent* and
 // *Parallel* tests are the TSan targets.
 #include <gtest/gtest.h>
@@ -226,9 +226,9 @@ TEST(BatchRunner, RecordsLimitErrorsInsteadOfThrowing) {
 }
 
 // The re-entrancy guarantee behind the whole driver (DESIGN.md §5):
-// concurrent runDispersion calls sharing immutable Graph instances must
+// concurrent runSession calls sharing immutable Graph instances must
 // produce exactly the per-seed results of serial runs.
-TEST(RunDispersion, ConcurrentRunsOnSharedGraphsAreBitIdentical) {
+TEST(RunSession, ConcurrentRunsOnSharedGraphsAreBitIdentical) {
   const Graph er = makeGraph("er", 48, 42);
   const Graph star = makeGraph("star", 48, 42);
   struct Config {

@@ -1,4 +1,4 @@
-// Facade-level integration tests: every algorithm through runDispersion,
+// Session-level integration tests: every algorithm through runSession,
 // including the small-k fallback, cross-model agreement checks, and the
 // cross-algorithm invariant suite (dispersal, distinct occupancy, metric
 // sanity/monotonicity, and bit-identical reruns for fixed seeds).
@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <string>
 
+#include "algo/registry.hpp"
 #include "algo/runner.hpp"
 #include "graph/generators.hpp"
 #include "graph/spec.hpp"
@@ -14,28 +15,26 @@
 namespace disp {
 namespace {
 
-constexpr Algorithm kAllAlgorithms[] = {
-    Algorithm::RootedSync, Algorithm::RootedAsync,  Algorithm::GeneralSync,
-    Algorithm::GeneralAsync, Algorithm::KsSync,     Algorithm::KsAsync,
-};
+constexpr const char* kAllAlgorithms[] = {"rooted_sync",  "rooted_async", "general_sync",
+                                          "general_async", "ks_sync",     "ks_async"};
 
 /// Rooted algorithms require rooted placements; general ones are exercised
 /// on a 4-cluster general configuration.
-Placement placementFor(const Graph& g, Algorithm algo, std::uint32_t k,
+Placement placementFor(const Graph& g, const std::string& algo, std::uint32_t k,
                        std::uint64_t seed) {
-  const bool general = algo == Algorithm::GeneralSync || algo == Algorithm::GeneralAsync;
-  return general ? clusteredPlacement(g, k, 4, seed) : rootedPlacement(g, k, 0, seed);
+  return algorithmDef(algo).traits.requiresRooted ? rootedPlacement(g, k, 0, seed)
+                                                  : clusteredPlacement(g, k, 4, seed);
 }
 
 TEST(Runner, AllAlgorithmsDisperseRooted) {
   const Graph g = makeGraph("er", 64, 5);
-  for (const Algorithm algo : kAllAlgorithms) {
+  for (const char* algo : kAllAlgorithms) {
     const Placement p = rootedPlacement(g, 48, 0, 3);
-    const RunResult r = runDispersion(g, p, {algo, "round_robin", 7});
-    EXPECT_TRUE(r.dispersed) << algorithmName(algo);
-    EXPECT_TRUE(isDispersed(r.finalPositions)) << algorithmName(algo);
-    EXPECT_GT(r.time, 0u) << algorithmName(algo);
-    EXPECT_GT(r.maxMemoryBits, 0u) << algorithmName(algo);
+    const RunResult r = runSession(g, p, {.algorithm = algo, .seed = 7});
+    EXPECT_TRUE(r.dispersed) << algo;
+    EXPECT_TRUE(isDispersed(r.finalPositions)) << algo;
+    EXPECT_GT(r.time, 0u) << algo;
+    EXPECT_GT(r.maxMemoryBits, 0u) << algo;
   }
 }
 
@@ -43,7 +42,7 @@ TEST(Runner, SmallKFallsBackToBaseline) {
   const Graph g = makeGraph("star", 20, 1);
   for (std::uint32_t k = 1; k <= 6; ++k) {
     const Placement p = rootedPlacement(g, k, 0, k);
-    const RunResult r = runDispersion(g, p, {Algorithm::RootedSync});
+    const RunResult r = runSession(g, p, {.algorithm = "rooted_sync"});
     EXPECT_TRUE(r.dispersed) << "k=" << k;
   }
 }
@@ -52,7 +51,7 @@ TEST(Runner, GeneralSyncHandlesClusters) {
   const Graph g = makeGraph("grid", 64, 9);
   for (std::uint32_t l : {1u, 2u, 4u, 8u}) {
     const Placement p = clusteredPlacement(g, 48, l, 11);
-    const RunResult r = runDispersion(g, p, {Algorithm::GeneralSync});
+    const RunResult r = runSession(g, p, {.algorithm = "general_sync"});
     EXPECT_TRUE(r.dispersed) << "l=" << l;
   }
 }
@@ -61,7 +60,8 @@ TEST(Runner, AsyncSchedulersAllWork) {
   const Graph g = makeGraph("randtree", 40, 13);
   for (const char* sched : {"round_robin", "shuffled", "uniform", "weighted"}) {
     const Placement p = rootedPlacement(g, 32, 0, 5);
-    const RunResult r = runDispersion(g, p, {Algorithm::RootedAsync, sched, 9});
+    const RunResult r =
+        runSession(g, p, {.algorithm = "rooted_async", .scheduler = sched, .seed = 9});
     EXPECT_TRUE(r.dispersed) << sched;
     EXPECT_GT(r.activations, 0u);
   }
@@ -73,8 +73,8 @@ TEST(Runner, SyncFasterThanBaselineOnClique) {
   // algorithm stays O(k) (with its constant-factor probe overhead).
   const Graph g = makeComplete(160).build();
   const Placement p = rootedPlacement(g, 160, 0, 3);
-  const RunResult fancy = runDispersion(g, p, {Algorithm::RootedSync});
-  const RunResult base = runDispersion(g, p, {Algorithm::KsSync});
+  const RunResult fancy = runSession(g, p, {.algorithm = "rooted_sync"});
+  const RunResult base = runSession(g, p, {.algorithm = "ks_sync"});
   ASSERT_TRUE(fancy.dispersed);
   ASSERT_TRUE(base.dispersed);
   EXPECT_LT(fancy.time, base.time);
@@ -83,7 +83,7 @@ TEST(Runner, SyncFasterThanBaselineOnClique) {
 TEST(Runner, KsRequiresRootedPlacement) {
   const Graph g = makePath(20).build();
   const Placement p = clusteredPlacement(g, 10, 2, 3);
-  EXPECT_THROW((void)runDispersion(g, p, {Algorithm::KsSync}), std::invalid_argument);
+  EXPECT_THROW((void)runSession(g, p, {.algorithm = "ks_sync"}), std::invalid_argument);
 }
 
 TEST(Runner, GeneralAsyncHandlesClustersUnderAllSchedulers) {
@@ -91,7 +91,8 @@ TEST(Runner, GeneralAsyncHandlesClustersUnderAllSchedulers) {
   for (std::uint32_t l : {1u, 2u, 4u, 8u}) {
     for (const char* sched : {"round_robin", "shuffled", "uniform", "weighted"}) {
       const Placement p = clusteredPlacement(g, 48, l, 11);
-      const RunResult r = runDispersion(g, p, {Algorithm::GeneralAsync, sched, 7});
+      const RunResult r =
+          runSession(g, p, {.algorithm = "general_async", .scheduler = sched, .seed = 7});
       EXPECT_TRUE(r.dispersed) << "l=" << l << " " << sched;
       EXPECT_GT(r.activations, 0u);
     }
@@ -101,14 +102,14 @@ TEST(Runner, GeneralAsyncHandlesClustersUnderAllSchedulers) {
 // ------------------------- cross-algorithm invariant suite -------------------
 
 struct CrossCase {
-  Algorithm algorithm;
+  std::string algorithm;
   std::string family;
   std::uint64_t seed;
 };
 
 std::string crossCaseName(const ::testing::TestParamInfo<CrossCase>& info) {
-  std::string name = algorithmName(info.param.algorithm) + "_" + info.param.family +
-                     "_s" + std::to_string(info.param.seed);
+  std::string name = algorithmDisplayName(info.param.algorithm) + "_" +
+                     info.param.family + "_s" + std::to_string(info.param.seed);
   std::erase_if(name, [](char c) { return !std::isalnum(static_cast<unsigned char>(c)); });
   return name;
 }
@@ -120,7 +121,7 @@ TEST_P(CrossAlgorithmTest, TerminatesDispersedWithSaneMetrics) {
   const std::uint32_t k = 48;
   const Graph g = makeGraph(family, 64, seed);
   const Placement p = placementFor(g, algo, k, seed + 1);
-  const RunResult r = runDispersion(g, p, {algo, "round_robin", seed});
+  const RunResult r = runSession(g, p, {.algorithm = algo, .seed = seed});
 
   EXPECT_TRUE(r.dispersed);
   ASSERT_EQ(r.finalPositions.size(), k);
@@ -135,7 +136,7 @@ TEST_P(CrossAlgorithmTest, TerminatesDispersedWithSaneMetrics) {
   EXPECT_GE(r.time, 1u);
   EXPECT_GT(r.totalMoves, 0u);
   EXPECT_GT(r.maxMemoryBits, 0u);
-  if (isAsync(algo)) {
+  if (algorithmDef(algo).traits.isAsync) {
     EXPECT_GE(r.activations, r.time);
   } else {
     // SYNC: one CCM cycle per agent per round, by the model's definition.
@@ -148,9 +149,9 @@ TEST_P(CrossAlgorithmTest, FixedSeedsGiveBitIdenticalRuns) {
   const std::uint32_t k = 32;
   const Graph g = makeGraph(family, 48, seed);
   const Placement p = placementFor(g, algo, k, seed + 1);
-  const RunSpec spec{algo, "uniform", seed};
-  const RunResult a = runDispersion(g, p, spec);
-  const RunResult b = runDispersion(g, p, spec);
+  const RunOptions opts{.algorithm = algo, .scheduler = "uniform", .seed = seed};
+  const RunResult a = runSession(g, p, opts);
+  const RunResult b = runSession(g, p, opts);
   EXPECT_EQ(a.dispersed, b.dispersed);
   EXPECT_EQ(a.time, b.time);
   EXPECT_EQ(a.activations, b.activations);
@@ -161,7 +162,7 @@ TEST_P(CrossAlgorithmTest, FixedSeedsGiveBitIdenticalRuns) {
 
 std::vector<CrossCase> crossCases() {
   std::vector<CrossCase> cases;
-  for (const Algorithm algo : kAllAlgorithms) {
+  for (const char* algo : kAllAlgorithms) {
     for (const char* family : {"path", "grid", "er"}) {
       for (const std::uint64_t seed : {3ULL, 17ULL}) {
         cases.push_back({algo, family, seed});
@@ -178,14 +179,14 @@ TEST(CrossAlgorithm, MovesAndTimeNonDecreasingInK) {
   // Scaling sanity shared by every algorithm: on a fixed graph, settling
   // more agents never takes fewer total moves, and never less time.
   const Graph g = makeGraph("er", 128, 21);
-  for (const Algorithm algo : kAllAlgorithms) {
+  for (const char* algo : kAllAlgorithms) {
     std::uint64_t prevMoves = 0, prevTime = 0;
     for (const std::uint32_t k : {16u, 32u, 64u}) {
       const Placement p = placementFor(g, algo, k, 5);
-      const RunResult r = runDispersion(g, p, {algo, "round_robin", 9});
-      ASSERT_TRUE(r.dispersed) << algorithmName(algo) << " k=" << k;
-      EXPECT_GE(r.totalMoves, prevMoves) << algorithmName(algo) << " k=" << k;
-      EXPECT_GE(r.time, prevTime) << algorithmName(algo) << " k=" << k;
+      const RunResult r = runSession(g, p, {.algorithm = algo, .seed = 9});
+      ASSERT_TRUE(r.dispersed) << algo << " k=" << k;
+      EXPECT_GE(r.totalMoves, prevMoves) << algo << " k=" << k;
+      EXPECT_GE(r.time, prevTime) << algo << " k=" << k;
       prevMoves = r.totalMoves;
       prevTime = r.time;
     }

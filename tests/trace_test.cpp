@@ -55,15 +55,7 @@ TEST(Registry, RoundTripsEveryBuiltinByKeyAndDisplayName) {
   EXPECT_EQ(algorithmKeys().size(), algorithmRegistry().size());
 }
 
-TEST(Registry, TraitsMatchTheLegacyEnumPredicates) {
-  const Algorithm enums[] = {Algorithm::RootedSync,   Algorithm::RootedAsync,
-                             Algorithm::GeneralSync,  Algorithm::GeneralAsync,
-                             Algorithm::KsSync,       Algorithm::KsAsync};
-  for (const Algorithm a : enums) {
-    const AlgorithmDef& def = algorithmDef(algorithmKey(a));
-    EXPECT_EQ(def.traits.isAsync, isAsync(a)) << def.traits.key;
-    EXPECT_EQ(def.traits.display, algorithmName(a)) << def.traits.key;
-  }
+TEST(Registry, OnlyGeneralAlgorithmsAcceptClusteredPlacements) {
   // The general algorithms accept clustered placements, the rest do not.
   EXPECT_FALSE(algorithmDef("general_sync").traits.requiresRooted);
   EXPECT_FALSE(algorithmDef("general_async").traits.requiresRooted);
@@ -137,18 +129,6 @@ TEST(ObserverDeterminism, ObservedRunsReportIdenticalFactsAtAnyCadence) {
           << key << ": trajectory mirrors the sampled snapshots";
     }
   }
-}
-
-TEST(ObserverDeterminism, CompatWrapperMatchesSession) {
-  const Graph g = makeGraph("grid", 64, 9);
-  const Placement p = rootedPlacement(g, 48, 0, 3);
-  const RunResult viaEnum = runDispersion(g, p, {Algorithm::RootedAsync, "uniform", 5});
-  RunOptions opts;
-  opts.algorithm = "rooted_async";
-  opts.scheduler = "uniform";
-  opts.seed = 5;
-  const RunResult viaSession = runSession(g, p, opts);
-  expectSameFacts(viaEnum, viaSession, "compat wrapper");
 }
 
 // --------------------------------------------------- trace schema/ordering
