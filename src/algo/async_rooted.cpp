@@ -42,7 +42,9 @@ bool RootedAsyncDispersion::dispersed() const {
 
 std::uint64_t RootedAsyncDispersion::agentBits(AgentIx a) const {
   // id + settled + guest flags + parent/checked/next + order slots (ports)
-  // + probe counters (bounded by k) + entry port.
+  // + probe counters (bounded by k) + entry port.  The shared record's
+  // label (always 0 here) and reportMet (no foreign label to see) carry no
+  // information in this protocol and are not charged.
   std::uint64_t bits = widths_.id + 4 + 9ULL * widths_.port + 6ULL * widths_.count;
   if (a == leader_) bits += widths_.count + widths_.port;  // groupSize + next
   return bits;
