@@ -1,16 +1,18 @@
 // Equality gate over the general protocols (general_sync, and general_async
-// under all four schedulers) and over rooted_async (all four schedulers),
-// which shares its ASYNC growing phase with general_async: a fixed grid of
-// runScenario runs, each run's outcome folded into one FNV-1a digest per
-// case.  A refactor of any of these protocols must keep every digest
-// byte-identical.
+// under all four schedulers) and over the rooted ASYNC protocols
+// rooted_async, which shares its ASYNC growing phase with general_async, and
+// ks_async (each under all four schedulers): a fixed grid of runScenario
+// runs, each run's outcome folded into one FNV-1a digest per case.  A
+// refactor of any of these protocols, or of the ASYNC engine they all run
+// on, must keep every digest byte-identical.
 //
 // Grid: 8 graph families x k in {8, 16, 32, 64} x placements x seeds, with
 // n = 2k and the seed driving graph, placement and run.  The general cases
 // run 5 clustered placements, the rooted cases `rooted` and
-// `adversarial:hot`.  Tier-1 runs seeds 1-2 (1,600 general and 512 rooted
-// runs); the DISABLED_ twins run seeds 1-30 (24,000 general and 7,680
-// rooted runs) and run in CI with --gtest_also_run_disabled_tests.
+// `adversarial:hot`.  Tier-1 runs seeds 1-2 (1,600 general runs and 512
+// runs of each rooted protocol); the DISABLED_ twins run seeds 1-30 (24,000
+// general runs and 7,680 of each rooted protocol) and run in CI with
+// --gtest_also_run_disabled_tests.
 //
 // The grid holds 16 known-bad runs (ROADMAP item 1), all general.  Each is
 // pinned below by name with its recorded outcome, and every sweep checks
@@ -52,6 +54,10 @@ constexpr Case kRootedRoundRobin{"rooted_async", "round_robin", kRootedPlacement
 constexpr Case kRootedShuffled{"rooted_async", "shuffled", kRootedPlacements};
 constexpr Case kRootedUniform{"rooted_async", "uniform", kRootedPlacements};
 constexpr Case kRootedWeighted{"rooted_async", "weighted", kRootedPlacements};
+constexpr Case kKsRoundRobin{"ks_async", "round_robin", kRootedPlacements};
+constexpr Case kKsShuffled{"ks_async", "shuffled", kRootedPlacements};
+constexpr Case kKsUniform{"ks_async", "uniform", kRootedPlacements};
+constexpr Case kKsWeighted{"ks_async", "weighted", kRootedPlacements};
 
 /// A run's recorded outcome: the RunResult summary, or the exception text.
 struct Outcome {
@@ -260,6 +266,34 @@ TEST(GeneralSweep, DISABLED_RootedAsyncUniformSeeds1To30) {
 }
 TEST(GeneralSweep, DISABLED_RootedAsyncWeightedSeeds1To30) {
   expectDigest(kRootedWeighted, 1, 30, 0x6be50218378c8543ULL);
+}
+
+// Digests recorded before the ASYNC engine parked idle agents; seeds 1-2
+// (tier-1) and 1-30 (full sweep).
+TEST(GeneralSweep, KsAsyncRoundRobinSeeds1To2) {
+  expectDigest(kKsRoundRobin, 1, 2, 0x33869eea15f8cea2ULL);
+}
+TEST(GeneralSweep, KsAsyncShuffledSeeds1To2) {
+  expectDigest(kKsShuffled, 1, 2, 0x3d23547b72525b38ULL);
+}
+TEST(GeneralSweep, KsAsyncUniformSeeds1To2) {
+  expectDigest(kKsUniform, 1, 2, 0xfdb4a696718f62baULL);
+}
+TEST(GeneralSweep, KsAsyncWeightedSeeds1To2) {
+  expectDigest(kKsWeighted, 1, 2, 0x8b5f0d14b7d1c71aULL);
+}
+
+TEST(GeneralSweep, DISABLED_KsAsyncRoundRobinSeeds1To30) {
+  expectDigest(kKsRoundRobin, 1, 30, 0xd23071c114ce3896ULL);
+}
+TEST(GeneralSweep, DISABLED_KsAsyncShuffledSeeds1To30) {
+  expectDigest(kKsShuffled, 1, 30, 0x88360ef4687e8fa4ULL);
+}
+TEST(GeneralSweep, DISABLED_KsAsyncUniformSeeds1To30) {
+  expectDigest(kKsUniform, 1, 30, 0xb7728171da60e889ULL);
+}
+TEST(GeneralSweep, DISABLED_KsAsyncWeightedSeeds1To30) {
+  expectDigest(kKsWeighted, 1, 30, 0x43d46e6b02f933baULL);
 }
 
 // Each known-bad run keeps its recorded outcome until ROADMAP item 1
