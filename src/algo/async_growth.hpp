@@ -20,7 +20,9 @@
 // Coordination is strictly local: the leader writes orders into co-located
 // agents' memory; transient probe counters live on the home settler of the
 // current node (always present), so probers can report even while the
-// leader is itself out probing.
+// leader is itself out probing.  A participant with no errand parks on the
+// engine (hasErrand is its idle predicate), and every order written into
+// another agent goes through orderInto, which wakes it.
 //
 // AsyncGrowth<Protocol> is a CRTP base like KsSubsumption: it calls into
 // the protocol directly, with no virtual dispatch.  The protocol supplies
@@ -108,11 +110,21 @@ class AsyncGrowth {
 
   /// True iff the agent has a participant errand pending: an order from
   /// the leader or a prober, or a report or registration still owed.
+  /// Without one an activation changes nothing, so the agent may park:
+  /// reports and registrations are set by the agent itself, and every
+  /// order reaches it through orderInto, which wakes it.
   [[nodiscard]] bool hasErrand(AgentIx self) const {
     const auto& s = st(self);
     return s.orderProbePort != kNoPort || s.needReport || s.orderGuestGoTo != kNoPort ||
            s.needRegister || s.orderGoHome || s.orderChaperone != kNoPort ||
            s.orderEscort != kNoPort || s.orderFollow != kNoPort;
+  }
+  /// Agent `a`'s record, for writing it an order: wakes `a` if it is
+  /// parked.  Every write of an order into another agent goes through
+  /// here, so no order can wait on a parked agent.
+  auto& orderInto(AgentIx a) {
+    engine().wake(a);
+    return st(a);
   }
   /// Handles the agent's pending errand (probe, report, guest trip,
   /// registration, walk home, chaperone, escort or follow); call only when
@@ -223,7 +235,7 @@ auto AsyncGrowth<Protocol>::observeAndRecruit(AgentIx self, Label label) -> Prob
   }
   sight.empty = (eng.countAt(ui) == 1);
   if (sight.settler != kNoAgent) {
-    st(sight.settler).orderGuestGoTo = eng.pinOf(self);
+    orderInto(sight.settler).orderGuestGoTo = eng.pinOf(self);
     st(sight.settler).isGuest = true;
     proberIdx_.insert(sight.settler, ui);  // guests are prober-eligible
   }
@@ -403,7 +415,7 @@ Task AsyncGrowth<Protocol>::probePhase(Label label, AgentIx self, Port limit) {
         selfProbes = true;  // the leader has the max ID: only drafted last
         selfPort = port;
       } else {
-        st(avail[i]).orderProbePort = port;
+        orderInto(avail[i]).orderProbePort = port;
       }
     }
     if (selfProbes) co_await leaderProbeTrip(label, self, selfPort);
@@ -450,8 +462,8 @@ Task AsyncGrowth<Protocol>::seeOffPhase(Label label, AgentIx self) {
     if (guests.size() == 1) {
       // α(w) escorts the last guest home (Algorithm 4 lines 2–4).
       const AgentIx g = guests.front();
-      st(aw).orderEscort = st(g).guestEntryPort;
-      st(g).orderGoHome = true;
+      orderInto(aw).orderEscort = st(g).guestEntryPort;
+      orderInto(g).orderGoHome = true;
       // Wait until the guest is gone and the settler is back *with its
       // escort order consumed*.  Without the order check the guest can walk
       // home on its own before the settler ever leaves, the leader would
@@ -475,8 +487,8 @@ Task AsyncGrowth<Protocol>::seeOffPhase(Label label, AgentIx self) {
     for (std::uint32_t i = 0; i < pairs; ++i) {
       const AgentIx gHome = guests[2 * i];
       const AgentIx gBack = guests[2 * i + 1];
-      st(gBack).orderChaperone = st(gHome).guestEntryPort;
-      st(gHome).orderGoHome = true;
+      orderInto(gBack).orderChaperone = st(gHome).guestEntryPort;
+      orderInto(gHome).orderGoHome = true;
     }
     while (st(aw).seeOffReturned != st(aw).seeOffExpected) {
       co_await eng.nextActivation(self);

@@ -60,7 +60,16 @@ void RootedAsyncDispersion::recordMemory() {
 
 Task RootedAsyncDispersion::participantFiber(AgentIx self) {
   for (;;) {
-    co_await engine_.nextActivation(self);
+    if (hasErrand(self)) {
+      co_await engine_.nextActivation(self);
+    } else {
+      // Idle until an order wakes us; the !NDEBUG audit resumes us unwoken.
+      for (bool woken = false; !woken;) {
+        woken = co_await engine_.park(self);
+        DISP_CHECK(woken || !hasErrand(self),
+                   "parked agent given an errand without a wake");
+      }
+    }
     if (hasErrand(self)) co_await participantStep(self);
   }
 }
@@ -79,7 +88,7 @@ Task RootedAsyncDispersion::moveGroup(AgentIx self, Port p) {
   // Order every follower through p, cross, and wait until the whole
   // unsettled group has reassembled at the far end.
   for (const AgentIx a : engine_.agentsAt(engine_.positionOf(self))) {
-    if (!st_[a].settled && a != self) st_[a].orderFollow = p;
+    if (!st_[a].settled && a != self) orderInto(a).orderFollow = p;
   }
   engine_.move(self, p);
   co_await engine_.nextActivation(self);

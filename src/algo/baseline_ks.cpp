@@ -146,10 +146,21 @@ void KsAsyncDispersion::recordMemory() {
 }
 
 Task KsAsyncDispersion::followerFiber(AgentIx self) {
+  AgentState& me = st_[self];
+  // Settlers idle (they answer reads passively); a follower idles until the
+  // leader's order, which wakes it.
+  const auto idle = [&me] { return me.settled || me.orderPort == kNoPort; };
   for (;;) {
-    co_await engine_.nextActivation(self);
-    AgentState& me = st_[self];
-    if (me.settled) continue;  // settlers idle (they answer reads passively)
+    if (!idle()) {
+      co_await engine_.nextActivation(self);
+    } else {
+      // The !NDEBUG audit resumes a parked follower unwoken.
+      for (bool woken = false; !woken;) {
+        woken = co_await engine_.park(self);
+        DISP_CHECK(woken || idle(), "parked agent given an order without a wake");
+      }
+    }
+    if (me.settled) continue;
     if (me.orderPort != kNoPort) {
       const Port p = me.orderPort;
       me.orderPort = kNoPort;
@@ -165,6 +176,7 @@ void KsAsyncDispersion::orderGroupMove(AgentIx self, Port p, bool usePin) {
   for (const AgentIx a : engine_.agentsAt(here)) {
     if (a == self || st_[a].settled) continue;
     st_[a].orderPort = usePin ? engine_.pinOf(a) : p;
+    engine_.wake(a);
   }
 }
 

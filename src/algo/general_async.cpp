@@ -97,9 +97,22 @@ void GeneralAsyncDispersion::settle(std::uint32_t gi, AgentIx a, NodeId at,
 
 // --------------------------------------------------------------- fibers
 
+bool GeneralAsyncDispersion::idle(AgentIx self) const {
+  return leadQueued_[self] == kNoGroup && anchorOf_[self] == kNoGroup && !hasErrand(self);
+}
+
 Task GeneralAsyncDispersion::agentFiber(AgentIx self) {
   for (;;) {
-    co_await engine_.nextActivation(self);
+    if (!idle(self)) {
+      co_await engine_.nextActivation(self);
+    } else {
+      // Idle until an order or a leadership hand-off wakes us; the !NDEBUG
+      // audit resumes us unwoken.
+      for (bool woken = false; !woken;) {
+        woken = co_await engine_.park(self);
+        DISP_CHECK(woken || idle(self), "parked agent given work without a wake");
+      }
+    }
     if (leadQueued_[self] != kNoGroup) {
       const std::uint32_t gi = leadQueued_[self];
       leadQueued_[self] = kNoGroup;
@@ -141,6 +154,7 @@ void GeneralAsyncDispersion::dormantDuties(AgentIx self) {
     DISP_CHECK(fresh != kNoAgent, "no co-located candidate for leader handoff");
     ctx.leader = fresh;
     leadQueued_[fresh] = gi;
+    engine_.wake(fresh);
     anchorOf_[self] = kNoGroup;
     ++stats_.handoffs;
   }
@@ -154,7 +168,7 @@ Task GeneralAsyncDispersion::moveGroup(std::uint32_t gi, Port p) {
   const NodeId w = engine_.positionOf(self);
   for (const AgentIx a : engine_.agentsAt(w)) {
     if (a != self && !st_[a].settled && st_[a].label == ctx.label) {
-      st_[a].orderFollow = p;
+      orderInto(a).orderFollow = p;
     }
   }
   engine_.move(self, p);

@@ -113,6 +113,10 @@ class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion>,
 
   // --- dormant-anchor duties (runs inside participant mode) -------------
   void dormantDuties(AgentIx self);
+  /// The fiber may park: no queued leadership, no anchor duty (anchors
+  /// never park, since dormantDuties polls global state) and no errand.
+  /// leadQueued_ is written by another agent only together with a wake.
+  [[nodiscard]] bool idle(AgentIx self) const;
 
   [[nodiscard]] bool groupConsolidatedAt(Label label, NodeId v) const;
   void settle(std::uint32_t gi, AgentIx a, NodeId at, Port parentPort);

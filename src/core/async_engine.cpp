@@ -21,6 +21,11 @@ StepAwait AsyncEngine::nextActivation(AgentIx a) {
   return StepAwait{&fibers_[a].slot};
 }
 
+AsyncEngine::ParkAwait AsyncEngine::park(AgentIx a) {
+  DISP_CHECK(a == current_, "agent parked outside its own turn");
+  return ParkAwait{&fibers_[a].parked, &auditing_};
+}
+
 void AsyncEngine::move(AgentIx a, Port p) {
   DISP_CHECK(a == current_, "only the activated agent may move");
   DISP_CHECK(!inSetup_, "no moves before the first activation (time starts at t=0)");
@@ -56,17 +61,15 @@ void AsyncEngine::run(std::uint64_t maxActivations) {
     DISP_REQUIRE(fibers_[a].task.valid(), "every agent needs a fiber before run()");
   }
 
-  // Kick every fiber to its first `co_await nextActivation(...)`.  This is
-  // t = 0 setup, not an activation: no moves are permitted yet.
+  // Kick every fiber to its first `co_await nextActivation(...)` or
+  // `park(...)`.  This is t = 0 setup, not an activation: no moves are
+  // permitted yet.
   inSetup_ = true;
   for (AgentIx a = 0; a < agentCount(); ++a) {
     FiberState& fiber = fibers_[a];
     if (fiber.started) continue;
     fiber.started = true;
-    current_ = a;
-    fiber.task.rootHandle().resume();
-    current_ = kNoAgent;
-    if (fiber.task.done()) fiber.task.rethrowIfFailed();
+    resume(a, fiber.task.rootHandle());
   }
   inSetup_ = false;
 
@@ -95,17 +98,24 @@ void AsyncEngine::run(std::uint64_t maxActivations) {
 
     // Dispatch is hoisted behind the armed() check: an activation of an
     // agent whose fiber already returned (it keeps being scheduled until
-    // finish()) skips the resume bookkeeping entirely but still counts
-    // toward the epoch, exactly as before.  Crashed agents are likewise
-    // scheduled-but-not-resumed: their activations keep counting toward
-    // epochs, so crash-stop cannot freeze time.
+    // finish()) or is parked skips the resume bookkeeping entirely but
+    // still counts toward the epoch, exactly as before.  Crashed agents are
+    // likewise scheduled-but-not-resumed: their activations keep counting
+    // toward epochs, so crash-stop cannot freeze time.
     FiberState& fiber = fibers_[a];
-    if (fiber.slot.armed() && !(faults_ != nullptr && faults_->crashed(a))) {
-      current_ = a;
-      movedThisActivation_ = false;
-      fiber.slot.take().resume();
-      current_ = kNoAgent;
-      if (fiber.task.done()) fiber.task.rethrowIfFailed();
+    if (!(faults_ != nullptr && faults_->crashed(a))) {
+      if (fiber.slot.armed()) {
+        resume(a, fiber.slot.take());
+      }
+#ifndef NDEBUG
+      else if (fiber.parked.armed()) {
+        // Idle audit: the parked fiber runs this activation with its park
+        // reporting "not woken" and checks that it still has nothing to do.
+        auditing_ = true;
+        resume(a, fiber.parked.take());
+        auditing_ = false;
+      }
+#endif
     }
 
     ++activations_;
@@ -149,6 +159,14 @@ void AsyncEngine::run(std::uint64_t maxActivations) {
                      [this](std::vector<NodeId>& v) {
                        for (AgentIx b = 0; b < agentCount(); ++b) v[b] = positionOf(b);
                      });
+}
+
+void AsyncEngine::resume(AgentIx a, std::coroutine_handle<> h) {
+  current_ = a;
+  movedThisActivation_ = false;
+  h.resume();
+  current_ = kNoAgent;
+  if (fibers_[a].task.done()) fibers_[a].task.rethrowIfFailed();
 }
 
 std::vector<NodeId> AsyncEngine::positionsSnapshot() const {

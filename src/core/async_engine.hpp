@@ -12,7 +12,17 @@
 // `co_await engine.nextActivation(a)` punctuated by at most one
 // `engine.move(a, port)` per activation.  A protocol signals global
 // termination via `engine.finish()` (e.g. when the last leader settles).
+//
+// An agent with nothing to do parks instead (`co_await engine.park(a)`):
+// its activations still count toward activations and epochs, and the
+// scheduler makes the same draws, but its fiber is not resumed until
+// another agent writes it work and calls `engine.wake(a)`.  Such an
+// activation would change no state, so skipping it changes no fact.  In
+// !NDEBUG builds the engine resumes parked agents anyway, with the park
+// reporting "not woken", so the protocol can check that its idle predicate
+// still holds (DESIGN.md §6).
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -78,8 +88,32 @@ class AsyncEngine {
   }
 
   // --- protocol-side API (only valid inside fibers) ---
-  /// Awaitable: parks agent `a` until the scheduler activates it again.
+  /// Awaitable: suspends agent `a` until the scheduler activates it again.
   [[nodiscard]] StepAwait nextActivation(AgentIx a);
+
+  /// Awaitable returned by park(): `co_await` yields true once wake() has
+  /// ended the park and the agent is activated; false when a !NDEBUG build
+  /// resumes the still-parked agent at an activation for the idle audit.
+  struct ParkAwait {
+    ResumeSlot* parked;
+    const bool* auditing;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) noexcept { parked->pending = h; }
+    bool await_resume() const noexcept { return !*auditing; }
+  };
+  /// Awaitable: parks agent `a` until another agent calls wake(a); the
+  /// parked agent's activations are counted but do not resume it.  Await it
+  /// as `for (bool woken = false; !woken;) woken = co_await park(a);`,
+  /// checking the idle predicate when not woken: gcc 12 miscompiles a
+  /// co_await in a loop condition.
+  [[nodiscard]] ParkAwait park(AgentIx a);
+  /// Ends agent `a`'s park: it resumes at its next activation.  A no-op
+  /// unless `a` is parked.  Call it with every write that gives `a` work.
+  void wake(AgentIx a) {
+    DISP_DCHECK(a < agentCount(), "wake: agent out of range");
+    FiberState& fiber = fibers_[a];
+    if (fiber.parked.armed()) fiber.slot.pending = fiber.parked.take();
+  }
 
   /// Moves agent `a` through port `p` now.  At most one move per activation
   /// (enforced); only the currently activated agent may move.
@@ -126,9 +160,13 @@ class AsyncEngine {
  private:
   struct FiberState {
     Task task;
-    ResumeSlot slot;
+    ResumeSlot slot;    ///< resumed at the agent's next activation
+    ResumeSlot parked;  ///< skipped until wake() moves it into `slot`
     bool started = false;
   };
+
+  /// Runs agent `a`'s fiber from `h` to its next suspension, as `a`'s turn.
+  void resume(AgentIx a, std::coroutine_handle<> h);
 
   World world_;
   MemoryLedger memory_;
@@ -145,6 +183,7 @@ class AsyncEngine {
   std::uint32_t activeCount_ = 0;
   AgentIx current_ = kNoAgent;
   bool movedThisActivation_ = false;
+  bool auditing_ = false;  ///< !NDEBUG: resuming a parked agent unwoken
   bool inSetup_ = false;
   bool finished_ = false;
   MoveHook moveHook_;  ///< protocol index maintenance (optional)

@@ -1,11 +1,13 @@
 // Tests for the simulation core: world moves/pin semantics, SYNC rounds and
-// fiber scheduling, ASYNC activations and the epoch counter, schedulers,
-// memory ledger, placements.
+// fiber scheduling, ASYNC activations, park/wake and the epoch counter,
+// schedulers, memory ledger, placements.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "algo/placement.hpp"
 #include "core/async_engine.hpp"
@@ -17,6 +19,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph_algos.hpp"
 #include "graph/spec.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace disp {
@@ -254,6 +257,101 @@ TEST(AsyncEngine, ActivationCapGuardsNonTermination) {
   AsyncEngine e(g, {0}, seqIds(1), makeRoundRobinScheduler(1));
   e.setAgentFiber(0, asyncWalk(e, 0, 2, false));  // never calls finish()
   EXPECT_THROW(e.run(500), std::runtime_error);
+}
+
+// Park/wake: a boss (agent 0) writes `orders` walk orders into a shared
+// mailbox, one every third activation; the worker (agent 1) takes one per
+// activation, stepping right along the path.  The boss finishes once every
+// order is done.
+struct Mailbox {
+  std::uint32_t pending = 0;
+  std::uint32_t done = 0;
+  std::uint32_t unwoken = 0;  // worker resumes the idle audit made
+};
+
+Task boss(AsyncEngine& e, Mailbox& box, std::uint32_t orders, bool wake) {
+  for (std::uint32_t i = 0; i < orders; ++i) {
+    for (int j = 0; j < 3; ++j) co_await e.nextActivation(0);
+    ++box.pending;
+    if (wake) e.wake(1);
+  }
+  while (box.done < orders) co_await e.nextActivation(0);
+  e.finish();
+  for (;;) co_await e.nextActivation(0);
+}
+
+Task worker(AsyncEngine& e, Mailbox& box, bool park) {
+  for (;;) {
+    if (park && box.pending == 0) {
+      for (bool woken = false; !woken;) {
+        woken = co_await e.park(1);
+        if (!woken) ++box.unwoken;
+        DISP_CHECK(woken || box.pending == 0, "parked agent given work without a wake");
+      }
+    } else {
+      co_await e.nextActivation(1);
+    }
+    if (box.pending > 0) {
+      --box.pending;
+      ++box.done;
+      e.move(1, e.positionOf(1) == 0 ? 1 : 2);
+    }
+  }
+}
+
+TEST(AsyncEngine, ParkedAgentMatchesItsPollingTwin) {
+  const Graph g = makePath(12).build();
+  for (const auto& name : knownSchedulers()) {
+    const auto run = [&](bool park, bool wake, Mailbox& box) {
+      AsyncEngine e(g, {0, 0}, seqIds(2), makeSchedulerByName(name, 2, 5));
+      e.setAgentFiber(0, boss(e, box, 8, wake));
+      e.setAgentFiber(1, worker(e, box, park));
+      e.run(100000);
+      return std::tuple{e.positionsSnapshot(), e.activations(), e.epochs()};
+    };
+    Mailbox polled, polledWoken, parked;
+    const auto want = run(false, false, polled);
+    EXPECT_EQ(std::get<0>(want)[1], 8u) << name;
+    // Waking an agent that is not parked (it awaits nextActivation) is a
+    // no-op.
+    EXPECT_EQ(run(false, true, polledWoken), want) << name;
+    EXPECT_EQ(run(true, true, parked), want) << name;
+#ifdef NDEBUG
+    EXPECT_EQ(parked.unwoken, 0u) << name;  // parked activations never resume
+#else
+    EXPECT_GT(parked.unwoken, 0u) << name;  // the audit resumes them unwoken
+#endif
+  }
+}
+
+Task parkOther(AsyncEngine& e) { co_await e.park(1); }
+
+TEST(AsyncEngine, ParkOutsideTheAgentsOwnTurnThrows) {
+  const Graph g = makePath(4).build();
+  AsyncEngine e(g, {0, 0}, seqIds(2), makeRoundRobinScheduler(2));
+  EXPECT_THROW((void)e.park(0), std::logic_error);  // no agent's turn
+  e.setAgentFiber(0, parkOther(e));                 // agent 0 parks agent 1
+  e.setAgentFiber(1, asyncWalk(e, 1, 1, true));
+  EXPECT_THROW(e.run(100), std::logic_error);
+}
+
+TEST(AsyncEngine, IdleAuditCatchesWorkWrittenWithoutAWake) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the idle audit runs only in !NDEBUG builds";
+#else
+  const Graph g = makePath(12).build();
+  Mailbox box;
+  AsyncEngine e(g, {0, 0}, seqIds(2), makeRoundRobinScheduler(2));
+  e.setAgentFiber(0, boss(e, box, 1, /*wake=*/false));
+  e.setAgentFiber(1, worker(e, box, /*park=*/true));
+  try {
+    e.run(1000);
+    FAIL() << "the idle audit missed an order written without a wake";
+  } catch (const std::logic_error& err) {
+    EXPECT_NE(std::string(err.what()).find("without a wake"), std::string::npos)
+        << err.what();
+  }
+#endif
 }
 
 // ------------------------------------------------------------- schedulers
