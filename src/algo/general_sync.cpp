@@ -17,6 +17,7 @@ GeneralSyncDispersion::GeneralSyncDispersion(SyncEngine& engine)
   for (const GroupCtx& ctx : groups_) ++ledGroups_[ctx.leader];
   probeNext_.assign(groups_.size(), kNoPort);
   probeMet_.assign(groups_.size(), {});
+  rescanFound_.assign(groups_.size(), 0);
 }
 
 void GeneralSyncDispersion::start() {
@@ -226,7 +227,7 @@ Task GeneralSyncDispersion::rescanVisit(std::uint32_t gi) {
   co_await probeStep(gi);
   co_await returnGuests(gi);
   if (probeNext_[gi] != kNoPort || !probeMet_[gi].empty()) {
-    rescanFound_ = true;  // resume the DFS right here
+    rescanFound_[gi] = 1;  // resume the DFS right here
     co_return;
   }
 
@@ -239,7 +240,7 @@ Task GeneralSyncDispersion::rescanVisit(std::uint32_t gi) {
     DISP_CHECK(cs != kNoAgent, "rescan child without settler");
     const Port sib = st_[cs].nextSiblingPort;
     co_await rescanVisit(gi);
-    if (rescanFound_) co_return;  // stay put; frames unwind without moving
+    if (rescanFound_[gi]) co_return;  // stay put; frames unwind without moving
     co_await moveGroup(gi, backUp);
     c = sib;
   }
@@ -295,9 +296,17 @@ Task GeneralSyncDispersion::groupFiber(std::uint32_t gi) {
     }
 
     const NodeId w = engine_.positionOf(ctx.leader);
-
-    co_await probeStep(gi);
-    co_await returnGuests(gi);
+    if (rescanFound_[gi]) {
+      // A rescan stopped here because its probe found an empty port or a
+      // meeting; consume those results directly.  Re-probing would clear
+      // probeMet_ and exit at once (this node's `checked` is already
+      // exhausted when only a meeting was found), silently discarding the
+      // finding and rescanning forever.
+      rescanFound_[gi] = 0;
+    } else {
+      co_await probeStep(gi);
+      co_await returnGuests(gi);
+    }
 
     // Meetings discovered by this probe (smallest label first).
     for (const auto& [label, port] : probeMet_[gi]) {
@@ -352,9 +361,9 @@ Task GeneralSyncDispersion::groupFiber(std::uint32_t gi) {
         // sweep the whole tree re-probing (rescanVisit); if that finds
         // nothing every frontier peer is busy — pend/retry after a pause.
         if (ctx.pending.empty()) {
-          rescanFound_ = false;
+          rescanFound_[gi] = 0;
           co_await rescanVisit(gi);
-          if (!rescanFound_) co_await skipRounds(engine_, 8);
+          if (!rescanFound_[gi]) co_await skipRounds(engine_, 8);
         } else {
           co_await skipRounds(engine_, 8);
         }

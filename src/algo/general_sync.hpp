@@ -108,7 +108,7 @@ class GeneralSyncDispersion : public KsSubsumption<GeneralSyncDispersion> {
   // Per-group scratch (protocol-local values surfaced for the fiber).
   std::vector<Port> probeNext_;
   std::vector<std::vector<std::pair<Label, Port>>> probeMet_;
-  bool rescanFound_ = false;
+  std::vector<std::uint8_t> rescanFound_;  // a rescan stopped at a finding
 
   // Exact O(1)/O(dirty) caches of quantities the protocol only ever derives
   // by scanning all groups or all agents.  At web scale (k = 2^20, ℓ large)

@@ -14,10 +14,10 @@
 // general runs and 7,680 of each rooted protocol) and run in CI with
 // --gtest_also_run_disabled_tests.
 //
-// The grid holds 16 known-bad runs (ROADMAP item 1), all general.  Each is
+// The grid holds 5 known-bad runs (ROADMAP item 1), all general.  Each is
 // pinned below by name with its recorded outcome, and every sweep checks
-// that no other run fails, so fixing one means flipping its pin to "must
-// disperse".
+// that no other run fails, so fixing one means moving its pin to the
+// must-disperse list, as the 11 fixed general_sync runs were.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -130,8 +130,8 @@ std::string hex(std::uint64_t v) {
   return s;
 }
 
-/// A known-bad run and the outcome it had when it was pinned.
-struct KnownBad {
+/// A pinned run and the outcome it had when it was pinned.
+struct PinnedRun {
   const Case* c;
   const char* family;
   std::uint32_t k;
@@ -140,29 +140,9 @@ struct KnownBad {
   const char* outcome;
 };
 
-// The SYNC round cap is 20000k + 40m + 400000 rounds; every capped run is
-// on a tree (m = 2k - 1), so the cap is a function of k.
-constexpr const char* kCap16 =
-    "threw: SyncEngine: round limit exceeded (deadlock or bug); round=721240";
-constexpr const char* kCap32 =
-    "threw: SyncEngine: round limit exceeded (deadlock or bug); round=1042520";
-constexpr const char* kCap64 =
-    "threw: SyncEngine: round limit exceeded (deadlock or bug); round=1685080";
-
-const KnownBad kKnownBad[] = {
-    // Round cap (livelock), general_sync.
-    {&kSync, "randtree", 16, "clusters:l=4", 5, kCap16},
-    {&kSync, "randtree", 16, "clusters:l=4", 10, kCap16},
-    {&kSync, "randtree", 16, "clusters:l=4", 14, kCap16},
-    {&kSync, "randtree", 16, "clusters:l=4", 30, kCap16},
-    {&kSync, "randtree", 16, "adversarial:frontier,l=4", 10, kCap16},
-    {&kSync, "randtree", 16, "adversarial:frontier,l=4", 27, kCap16},
-    {&kSync, "randtree", 32, "clusters:l=8", 1, kCap32},
-    {&kSync, "randtree", 32, "clusters:l=8", 14, kCap32},
-    {&kSync, "randtree", 32, "clusters:l=8", 25, kCap32},
-    {&kSync, "randtree", 64, "clusters:l=8", 9, kCap64},
-    {&kSync, "path", 64, "clusters:l=4", 24, kCap64},
-    // Silent double settlement: the run ends with two settlers on a node.
+// Known-bad: silent double settlement, the run ends with two settlers on a
+// node.
+const PinnedRun kKnownBad[] = {
     {&kSync, "er", 8, "clusters:l=2", 30,
      "NOT dispersed time=13 moves=44 memBits=53 activations=104"},
     {&kRoundRobin, "er", 8, "clusters:l=2", 30,
@@ -175,11 +155,39 @@ const KnownBad kKnownBad[] = {
      "NOT dispersed time=32 moves=774 memBits=171 activations=8071"},
 };
 
+// Fixed: these general_sync runs livelocked until the round cap while the
+// DFS re-probed the node where a rescan had stopped, discarding the rescan's
+// finding; now each must disperse.
+const PinnedRun kFixed[] = {
+    {&kSync, "randtree", 16, "clusters:l=4", 5,
+     "dispersed time=123 moves=435 memBits=62 activations=1968"},
+    {&kSync, "randtree", 16, "clusters:l=4", 10,
+     "dispersed time=131 moves=504 memBits=62 activations=2096"},
+    {&kSync, "randtree", 16, "clusters:l=4", 14,
+     "dispersed time=78 moves=239 memBits=62 activations=1248"},
+    {&kSync, "randtree", 16, "clusters:l=4", 30,
+     "dispersed time=196 moves=635 memBits=62 activations=3136"},
+    {&kSync, "randtree", 16, "adversarial:frontier,l=4", 10,
+     "dispersed time=132 moves=481 memBits=62 activations=2112"},
+    {&kSync, "randtree", 16, "adversarial:frontier,l=4", 27,
+     "dispersed time=131 moves=484 memBits=62 activations=2096"},
+    {&kSync, "randtree", 32, "clusters:l=8", 1,
+     "dispersed time=251 moves=978 memBits=93 activations=8032"},
+    {&kSync, "randtree", 32, "clusters:l=8", 14,
+     "dispersed time=207 moves=1183 memBits=83 activations=6624"},
+    {&kSync, "randtree", 32, "clusters:l=8", 25,
+     "dispersed time=308 moves=1977 memBits=109 activations=9856"},
+    {&kSync, "randtree", 64, "clusters:l=8", 9,
+     "dispersed time=452 moves=5072 memBits=101 activations=28928"},
+    {&kSync, "path", 64, "clusters:l=4", 24,
+     "dispersed time=780 moves=7112 memBits=65 activations=49920"},
+};
+
 /// Runs the grid for one case over seeds [first, last] and returns its
 /// digest.  Every failing run must be one of the pinned known-bad runs.
 std::uint64_t sweepDigest(const Case& c, std::uint64_t first, std::uint64_t last) {
   std::set<std::string> expectedBad;
-  for (const KnownBad& bad : kKnownBad) {
+  for (const PinnedRun& bad : kKnownBad) {
     if (bad.c == &c && bad.seed >= first && bad.seed <= last) {
       expectedBad.insert(runName(bad.family, bad.k, bad.placement, bad.seed));
     }
@@ -209,8 +217,9 @@ void expectDigest(const Case& c, std::uint64_t first, std::uint64_t last,
 }
 
 // Digests recorded before the subsumption rules were shared by the two
-// protocols; seeds 1-2 (tier-1) and 1-30 (full sweep).
-TEST(GeneralSweep, SyncSeeds1To2) { expectDigest(kSync, 1, 2, 0x0a1381ca0957de0aULL); }
+// protocols (general_sync's re-recorded when it began acting on a rescan's
+// finding); seeds 1-2 (tier-1) and 1-30 (full sweep).
+TEST(GeneralSweep, SyncSeeds1To2) { expectDigest(kSync, 1, 2, 0x076c089030a0f989ULL); }
 TEST(GeneralSweep, AsyncRoundRobinSeeds1To2) {
   expectDigest(kRoundRobin, 1, 2, 0xc3ff93338b79dccdULL);
 }
@@ -225,7 +234,7 @@ TEST(GeneralSweep, AsyncWeightedSeeds1To2) {
 }
 
 TEST(GeneralSweep, DISABLED_SyncSeeds1To30) {
-  expectDigest(kSync, 1, 30, 0x52c4b8205ae3bb33ULL);
+  expectDigest(kSync, 1, 30, 0x9a236c36e99263c8ULL);
 }
 TEST(GeneralSweep, DISABLED_AsyncRoundRobinSeeds1To30) {
   expectDigest(kRoundRobin, 1, 30, 0x122bc7406d066dc0ULL);
@@ -296,23 +305,32 @@ TEST(GeneralSweep, DISABLED_KsAsyncWeightedSeeds1To30) {
   expectDigest(kKsWeighted, 1, 30, 0x43d46e6b02f933baULL);
 }
 
-// Each known-bad run keeps its recorded outcome until ROADMAP item 1
-// fixes it.  One test per run, named after it, so ctest -j spreads the
-// round-cap runs.
-class KnownBadRun : public ::testing::TestWithParam<KnownBad> {};
+// Each pinned run keeps its recorded outcome: a known-bad run until it is
+// fixed, a fixed run as a must-disperse regression.  One test per run, named
+// after it.
+class KnownBadRun : public ::testing::TestWithParam<PinnedRun> {};
+class FixedRun : public ::testing::TestWithParam<PinnedRun> {};
 
-TEST_P(KnownBadRun, KeepsItsOutcome) {
-  const KnownBad& bad = GetParam();
-  const Outcome o = runOne(*bad.c, bad.family, bad.k, bad.placement, bad.seed);
-  EXPECT_EQ(o.text(), bad.outcome);
+Outcome runPinned(const PinnedRun& pin) {
+  return runOne(*pin.c, pin.family, pin.k, pin.placement, pin.seed);
 }
 
-std::string knownBadName(const ::testing::TestParamInfo<KnownBad>& info) {
-  const KnownBad& bad = info.param;
-  std::string name = std::string(bad.c->algorithm) == "general_sync"
+TEST_P(KnownBadRun, KeepsItsOutcome) {
+  EXPECT_EQ(runPinned(GetParam()).text(), GetParam().outcome);
+}
+
+TEST_P(FixedRun, Disperses) {
+  const Outcome o = runPinned(GetParam());
+  EXPECT_FALSE(o.failed());
+  EXPECT_EQ(o.text(), GetParam().outcome);
+}
+
+std::string pinnedName(const ::testing::TestParamInfo<PinnedRun>& info) {
+  const PinnedRun& pin = info.param;
+  std::string name = std::string(pin.c->algorithm) == "general_sync"
                          ? std::string("sync")
-                         : std::string("async_") + bad.c->scheduler;
-  name += "_" + runName(bad.family, bad.k, bad.placement, bad.seed);
+                         : std::string("async_") + pin.c->scheduler;
+  name += "_" + runName(pin.family, pin.k, pin.placement, pin.seed);
   for (char& ch : name) {
     if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
   }
@@ -320,7 +338,8 @@ std::string knownBadName(const ::testing::TestParamInfo<KnownBad>& info) {
 }
 
 INSTANTIATE_TEST_SUITE_P(GeneralSweep, KnownBadRun, ::testing::ValuesIn(kKnownBad),
-                         knownBadName);
+                         pinnedName);
+INSTANTIATE_TEST_SUITE_P(GeneralSweep, FixedRun, ::testing::ValuesIn(kFixed), pinnedName);
 
 }  // namespace
 }  // namespace disp
