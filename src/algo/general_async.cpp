@@ -19,7 +19,6 @@ GeneralAsyncDispersion::GeneralAsyncDispersion(AsyncEngine& engine)
   initGroups();
   for (const GroupCtx& ctx : groups_) leadQueued_[ctx.leader] = ctx.label;
   initLabels(groupCount());
-  rescanFound_.assign(groups_.size(), 0);
 
   // Seed the position index (everyone starts unsettled) and keep both probe
   // indexes in lock-step with the world through the engine's move hook;
@@ -76,23 +75,6 @@ bool GeneralAsyncDispersion::groupConsolidatedAt(Label label, NodeId v) const {
   DISP_CHECK(consolidated == naive, "GroupPositionIndex drifted from the world");
 #endif
   return consolidated;
-}
-
-void GeneralAsyncDispersion::settle(std::uint32_t gi, AgentIx a, NodeId at,
-                                    Port parentPort) {
-  AgentState& s = st_[a];
-  DISP_CHECK(!s.settled, "double settle");
-  s.settled = true;
-  s.settledAt = at;
-  s.parentPort = parentPort;
-  s.checked = 0;
-  s.firstChildPort = s.latestChildPort = s.nextSiblingPort = kNoPort;
-  proberIdx_.erase(a);  // settlers stop being prober-eligible
-  posIdx_.remove(s.label, at);
-  --groups_[gi].unsettled;
-  --unsettledTotal_;
-  engine_.traceSettle(a, groups_[gi].label);
-  recordMemory();
 }
 
 // --------------------------------------------------------------- fibers
@@ -189,11 +171,11 @@ Task GeneralAsyncDispersion::moveGroup(std::uint32_t gi, Port p) {
   DISP_CHECK(false, "group move never reassembled");
 }
 
-Task GeneralAsyncDispersion::sideTripSetNextSibling(std::uint32_t gi, AgentIx self,
-                                                    Port prevChildPort,
-                                                    Port newChildPort) {
+Task GeneralAsyncDispersion::linkSibling(std::uint32_t gi, Port prevChildPort,
+                                         Port newChildPort) {
   // The leader hops to the previous child alone (the group idles at w) and
   // links the sibling chain used by future collapse walks.
+  const AgentIx self = groups_[gi].leader;
   engine_.move(self, prevChildPort);
   co_await engine_.nextActivation(self);
   const AgentIx prev =
@@ -206,8 +188,9 @@ Task GeneralAsyncDispersion::sideTripSetNextSibling(std::uint32_t gi, AgentIx se
 
 // --------------------------------------------------------------- probe
 
-Task GeneralAsyncDispersion::probeAndSeeOff(std::uint32_t gi, AgentIx self) {
+Task GeneralAsyncDispersion::probe(std::uint32_t gi) {
   GroupCtx& ctx = groups_[gi];
+  const AgentIx self = ctx.leader;
   const NodeId w = engine_.positionOf(self);
   const Port limit = static_cast<Port>(
       std::min<std::uint32_t>(engine_.graph().degree(w), engine_.agentCount()));
@@ -217,55 +200,31 @@ Task GeneralAsyncDispersion::probeAndSeeOff(std::uint32_t gi, AgentIx self) {
   co_await seeOffPhase(ctx.label, self);
 }
 
-// --------------------------------------------------------------- rescan
+// ---------------------------------------------------------- leader loop
 
-Task GeneralAsyncDispersion::rescanVisit(std::uint32_t gi, AgentIx self) {
-  // Blocked-DFS recovery: Euler-walk the own tree, resetting probe progress
-  // and re-probing at every node, because a collapse can free nodes behind
-  // ports this DFS already advanced past (checked is monotone).  Stops at
-  // the first node with a finding; the DFS resumes from there.
-  GroupCtx& ctx = groups_[gi];
-  ctx.phase = "rescan";
-  const NodeId cur = engine_.positionOf(self);
-  const AgentIx settler = homeSettlerAt(engine_, st_, cur, ctx.label);
-  DISP_CHECK(settler != kNoAgent, "rescan reached a non-own node");
-
-  st_[settler].checked = 0;
-  co_await probeAndSeeOff(gi, self);
-  if (probeNext_[gi] != kNoPort || !probeMet_[gi].empty()) {
-    rescanFound_[gi] = 1;  // resume the DFS right here
-    co_return;
-  }
-
-  Port c = st_[settler].firstChildPort;
-  while (c != kNoPort) {
-    co_await moveGroup(gi, c);
-    const Port backUp = engine_.pinOf(self);
-    const AgentIx cs = homeSettlerAt(engine_, st_, engine_.positionOf(self), ctx.label);
-    DISP_CHECK(cs != kNoAgent, "rescan child without settler");
-    const Port sib = st_[cs].nextSiblingPort;
-    co_await rescanVisit(gi, self);
-    if (rescanFound_[gi]) co_return;  // stay put; frames unwind without moving
-    co_await moveGroup(gi, backUp);
-    c = sib;
-  }
+void GeneralAsyncDispersion::settleForward(std::uint32_t gi, NodeId u) {
+  // Settle the smallest-ID follower; the leader settles itself only when it
+  // is the last unsettled member of its group, and then stays as the
+  // group's dormant anchor.
+  const AgentIx self = groups_[gi].leader;
+  const Label label = groups_[gi].label;
+  AgentIx amin = minIdAgentAt(engine_, u, [&](AgentIx a) {
+    return a != self && st_[a].label == label && !st_[a].settled;
+  });
+  if (amin == kNoAgent) amin = self;
+  settle(gi, amin, u, engine_.pinOf(amin));
+  if (groups_[gi].unsettled == 0) becomeAnchor(gi);
 }
 
-// ----------------------------------------------------------------- main
+void GeneralAsyncDispersion::becomeAnchor(std::uint32_t gi) {
+  groups_[gi].phase = "dormant";
+  anchorOf_[groups_[gi].leader] = gi;
+  if (unsettledTotal_ == 0) engine_.finish();
+}
 
 Task GeneralAsyncDispersion::leaderLoop(std::uint32_t gi, AgentIx self) {
   GroupCtx& ctx = groups_[gi];
-
-  // Settle the smallest-ID member at the start node (first lead only).
-  if (ctx.treeSize == 0) {
-    const NodeId s = engine_.positionOf(self);
-    const AgentIx amin = minIdAgentAt(engine_, s, [&](AgentIx a) {
-      return st_[a].label == ctx.label && !st_[a].settled;
-    });
-    DISP_CHECK(amin != kNoAgent, "no agent to settle at the start node");
-    settle(gi, amin, s, kNoPort);
-    ctx.treeSize = 1;
-  }
+  settleStart(gi);  // first lead only; a hand-off resumes the grown tree
 
   for (;;) {
     // Dormant / parked / absorbed handling (safe points).
@@ -281,99 +240,11 @@ Task GeneralAsyncDispersion::leaderLoop(std::uint32_t gi, AgentIx self) {
     if (ctx.unsettled == 0) {
       // Dispersed: become the group's dormant anchor.  Marchers navigate
       // to us; dormantDuties absorbs them and hands leadership on.
-      ctx.phase = "dormant";
-      anchorOf_[self] = gi;
-      if (unsettledTotal_ == 0) engine_.finish();
+      becomeAnchor(gi);
       co_return;
     }
-
-    const NodeId w = engine_.positionOf(self);
-    if (rescanFound_[gi]) {
-      // A rescan stopped here because its probe found an empty port or a
-      // meeting; consume those results directly.  Re-probing would clear
-      // probeMet_ and exit at once (this node's `checked` is already
-      // exhausted when only a meeting was found), silently discarding the
-      // finding and rescanning forever.
-      rescanFound_[gi] = 0;
-    } else {
-      co_await probeAndSeeOff(gi, self);
-    }
-
-    // Meetings discovered by this probe (report order).
-    for (const auto& [label, port] : probeMet_[gi]) {
-      co_await handleMeeting(gi, label, port);
-      if (ctx.frozen || ctx.dissolved) break;
-    }
-    if (ctx.dissolved || ctx.frozen) continue;
-
-    const Port next = probeNext_[gi];
-    const AgentIx aw = homeSettlerAt(engine_, st_, w, ctx.label);
-    DISP_CHECK(aw != kNoAgent, "head lost its settler");
-
-    if (next != kNoPort) {
-      // Sibling-chain bookkeeping for future collapse walks (undone below
-      // if the move has to retreat).
-      const Port prevFirst = st_[aw].firstChildPort;
-      const Port prevLatest = st_[aw].latestChildPort;
-      if (st_[aw].firstChildPort == kNoPort) {
-        st_[aw].firstChildPort = next;
-      } else {
-        co_await sideTripSetNextSibling(gi, self, st_[aw].latestChildPort, next);
-      }
-      st_[aw].latestChildPort = next;
-
-      co_await moveGroup(gi, next);
-      const NodeId u = engine_.positionOf(self);
-      const Collision hit = forwardCollision(gi, u);
-      if (hit.retreat) {
-        ++stats_.retreats;
-        co_await moveGroup(gi, engine_.pinOf(self));
-        // Undo the speculative sibling link: the child was not created.
-        st_[aw].firstChildPort = prevFirst;
-        st_[aw].latestChildPort = prevLatest;
-        if (prevLatest != kNoPort) {
-          co_await sideTripSetNextSibling(gi, self, prevLatest, kNoPort);
-        }
-        if (hit.met != kNoLabel) co_await handleMeeting(gi, hit.met, next);
-        continue;
-      }
-
-      ++stats_.forwardMoves;
-      ++ctx.treeSize;
-      // Settle the smallest-ID follower; the leader settles itself only
-      // when it is the last unsettled member of its group.
-      AgentIx amin = minIdAgentAt(engine_, u, [&](AgentIx a) {
-        return a != self && st_[a].label == ctx.label && !st_[a].settled;
-      });
-      if (amin == kNoAgent) amin = self;
-      settle(gi, amin, u, engine_.pinOf(amin));
-      if (ctx.unsettled == 0) {
-        ctx.phase = "dormant";
-        anchorOf_[self] = gi;
-        if (unsettledTotal_ == 0) engine_.finish();
-        co_return;
-      }
-    } else {
-      const Port pp = st_[aw].parentPort;
-      if (pp == kNoPort) {
-        // Root exhausted while agents remain.  A collapse may have freed
-        // nodes behind already-checked ports anywhere along our tree, so
-        // sweep the whole tree re-probing (rescanVisit); if that finds
-        // nothing every frontier peer is busy — pend/retry after a pause.
-        if (ctx.pending.empty()) {
-          rescanFound_[gi] = 0;
-          co_await rescanVisit(gi, self);
-          if (!rescanFound_[gi]) {
-            for (int i = 0; i < 16; ++i) co_await engine_.nextActivation(self);
-          }
-        } else {
-          for (int i = 0; i < 16; ++i) co_await engine_.nextActivation(self);
-        }
-        continue;
-      }
-      ++stats_.backtracks;
-      co_await moveGroup(gi, pp);
-    }
+    co_await dfsStep(gi);
+    if (anchorOf_[self] == gi) co_return;  // the step settled our last member
   }
 }
 

@@ -30,11 +30,15 @@
 //  * group moves reassemble fully before any collision/retreat decision,
 //    so no follower can be stranded mid-edge by a retreat order.
 //
-// The ASYNC model primitives the shared subsumption runs on: a group hop
-// orders the followers, moves the leader and waits until the group has
-// reassembled; a wait step is the leader's next activation; a marcher has
-// arrived once its whole group stands at our leader; and every relabel or
-// unsettle keeps the probe indexes (algo/probe_index.hpp) in step.
+// The ASYNC model primitives the shared DFS step and subsumption run on: a
+// group hop orders the followers, moves the leader and waits until the
+// group has reassembled; a wait step is the leader's next activation; the
+// probe is Async_Probe then Guest_See_Off; the leader alone runs the
+// sibling-link errand; a new node is settled by the smallest-ID follower
+// (by the leader only when it is alone, and it then becomes the anchor); a
+// marcher has arrived once its whole group stands at our leader; and every
+// settle, relabel or unsettle keeps the probe indexes
+// (algo/probe_index.hpp) in step.
 
 #include <cstdint>
 #include <vector>
@@ -103,14 +107,6 @@ class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion>,
   /// participant mode.
   Task leaderLoop(std::uint32_t gi, AgentIx self);
 
-  // --- leader sub-phases ------------------------------------------------
-  /// Async_Probe then Guest_See_Off at the leader's node; result in
-  /// probeNext_[gi] / probeMet_[gi].
-  Task probeAndSeeOff(std::uint32_t gi, AgentIx self);
-  Task sideTripSetNextSibling(std::uint32_t gi, AgentIx self, Port prevChildPort,
-                              Port newChildPort);
-  Task rescanVisit(std::uint32_t gi, AgentIx self);
-
   // --- dormant-anchor duties (runs inside participant mode) -------------
   void dormantDuties(AgentIx self);
   /// The fiber may park: no queued leadership, no anchor duty (anchors
@@ -118,20 +114,33 @@ class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion>,
   /// leadQueued_ is written by another agent only together with a wake.
   [[nodiscard]] bool idle(AgentIx self) const;
 
+  /// The leader, having settled its group's last member, stays as the
+  /// group's dormant anchor; the run finishes once every agent is settled.
+  void becomeAnchor(std::uint32_t gi);
+
   [[nodiscard]] bool groupConsolidatedAt(Label label, NodeId v) const;
-  void settle(std::uint32_t gi, AgentIx a, NodeId at, Port parentPort);
 
   // --- ASYNC model primitives for KsSubsumption --------------------------
   /// Guard bound for "eventually" wait loops; generous so only true
   /// deadlocks (protocol bugs) trip it before the engine's own activation
   /// cap does.
   static constexpr std::uint64_t kWaitBound = 1ULL << 26;  // leader activations
+  static constexpr std::uint32_t kRescanPause = 16;        // leader activations
   Task moveGroup(std::uint32_t gi, Port p);  // order, move, fully reassemble
   [[nodiscard]] StepAwait waitStep(std::uint32_t gi) {
     return engine_.nextActivation(groups_[gi].leader);
   }
+  /// Async_Probe with port limit min(deg(w), k), then Guest_See_Off.
+  Task probe(std::uint32_t gi);
+  Task linkSibling(std::uint32_t gi, Port prevChildPort, Port newChildPort);  // the leader goes
+  /// The min-ID follower, or the leader when alone; then becomeAnchor.
+  void settleForward(std::uint32_t gi, NodeId u);
   [[nodiscard]] bool marcherArrived(std::uint32_t mi, std::uint32_t gi) const {
     return groupConsolidatedAt(groups_[mi].label, engine_.positionOf(groups_[gi].leader));
+  }
+  void onSettle(AgentIx a, NodeId v) {
+    proberIdx_.erase(a);  // settlers stop being prober-eligible
+    posIdx_.remove(st_[a].label, v);
   }
   void onRelabel(AgentIx a, Label from, NodeId v) {
     posIdx_.remove(from, v);
@@ -157,9 +166,6 @@ class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion>,
   std::vector<std::uint32_t> leadQueued_;
   // Per-agent: group this settled ex-leader anchors, if any.
   std::vector<std::uint32_t> anchorOf_;
-
-  // Per group: a rescan stopped at a finding (two groups can rescan at once).
-  std::vector<std::uint8_t> rescanFound_;
 };
 
 }  // namespace disp

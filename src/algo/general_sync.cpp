@@ -17,7 +17,6 @@ GeneralSyncDispersion::GeneralSyncDispersion(SyncEngine& engine)
   for (const GroupCtx& ctx : groups_) ++ledGroups_[ctx.leader];
   probeNext_.assign(groups_.size(), kNoPort);
   probeMet_.assign(groups_.size(), {});
-  rescanFound_.assign(groups_.size(), 0);
 }
 
 void GeneralSyncDispersion::start() {
@@ -73,19 +72,22 @@ Task GeneralSyncDispersion::moveGroup(std::uint32_t gi, Port p) {
   ++stats_.collapseHops;  // re-used as a generic hop counter during collapses
 }
 
-void GeneralSyncDispersion::settle(std::uint32_t gi, AgentIx a, NodeId at,
-                                   Port parentPort) {
-  AgentState& s = st_[a];
-  DISP_CHECK(!s.settled, "double settle");
-  s.settled = true;
-  s.settledAt = at;
-  s.parentPort = parentPort;
-  s.checked = 0;
-  s.firstChildPort = s.latestChildPort = s.nextSiblingPort = kNoPort;
-  --groups_[gi].unsettled;
-  --unsettledTotal_;
-  engine_.traceSettle(a, groups_[gi].label);
-  recordMemory();
+Task GeneralSyncDispersion::linkSibling(std::uint32_t gi, Port prevChildPort,
+                                        Port newChildPort) {
+  // Any unsettled group member (possibly the leader itself) hops to the
+  // previous child and links the sibling chain (used by collapse walks).
+  const NodeId w = engine_.positionOf(groups_[gi].leader);
+  const auto members = groupAt(w, groups_[gi].label);
+  DISP_CHECK(!members.empty(), "no messenger available");
+  const AgentIx m = members.front();
+  engine_.stageMove(m, prevChildPort);
+  co_await engine_.nextRound();
+  const AgentIx prev =
+      homeSettlerAt(engine_, st_, engine_.positionOf(m), groups_[gi].label);
+  DISP_CHECK(prev != kNoAgent, "previous child lost its settler");
+  st_[prev].nextSiblingPort = newChildPort;
+  engine_.stageMove(m, engine_.pinOf(m));
+  co_await engine_.nextRound();
 }
 
 // --------------------------------------------------------------- probe
@@ -196,70 +198,26 @@ Task GeneralSyncDispersion::returnGuests(std::uint32_t gi) {
   if (any) co_await engine_.nextRound();  // all helpers go home in one round
 }
 
-Task GeneralSyncDispersion::sideTripSetNextSibling(std::uint32_t gi, NodeId w,
-                                                   Port prevChildPort,
-                                                   Port newChildPort) {
-  // Any unsettled group member (possibly the leader itself) hops to the
-  // previous child and links the sibling chain (used by collapse walks).
-  const auto members = groupAt(w, groups_[gi].label);
-  DISP_CHECK(!members.empty(), "no messenger available");
-  const AgentIx m = members.front();
-  engine_.stageMove(m, prevChildPort);
-  co_await engine_.nextRound();
-  const AgentIx prev =
-      homeSettlerAt(engine_, st_, engine_.positionOf(m), groups_[gi].label);
-  DISP_CHECK(prev != kNoAgent, "previous child lost its settler");
-  st_[prev].nextSiblingPort = newChildPort;
-  engine_.stageMove(m, engine_.pinOf(m));
-  co_await engine_.nextRound();
-}
-
-// --------------------------------------------------------------- rescan
-
-Task GeneralSyncDispersion::rescanVisit(std::uint32_t gi) {
-  GroupCtx& ctx = groups_[gi];
-  ctx.phase = "rescan";
-  const NodeId cur = engine_.positionOf(ctx.leader);
-  const AgentIx settler = homeSettlerAt(engine_, st_, cur, ctx.label);
-  DISP_CHECK(settler != kNoAgent, "rescan reached a non-own node");
-
-  st_[settler].checked = 0;
+Task GeneralSyncDispersion::probe(std::uint32_t gi) {
   co_await probeStep(gi);
   co_await returnGuests(gi);
-  if (probeNext_[gi] != kNoPort || !probeMet_[gi].empty()) {
-    rescanFound_[gi] = 1;  // resume the DFS right here
-    co_return;
-  }
-
-  Port c = st_[settler].firstChildPort;
-  while (c != kNoPort) {
-    co_await moveGroup(gi, c);
-    const Port backUp = engine_.pinOf(ctx.leader);
-    const AgentIx cs =
-        homeSettlerAt(engine_, st_, engine_.positionOf(ctx.leader), ctx.label);
-    DISP_CHECK(cs != kNoAgent, "rescan child without settler");
-    const Port sib = st_[cs].nextSiblingPort;
-    co_await rescanVisit(gi);
-    if (rescanFound_[gi]) co_return;  // stay put; frames unwind without moving
-    co_await moveGroup(gi, backUp);
-    c = sib;
-  }
 }
 
-// ----------------------------------------------------------------- main
+// ---------------------------------------------------------- group fiber
+
+void GeneralSyncDispersion::settleForward(std::uint32_t gi, NodeId u) {
+  // The smallest-ID member settles, the leader included: a settled leader
+  // is re-elected at the next safe point.
+  const Label label = groups_[gi].label;
+  const AgentIx amin = minIdAgentAt(engine_, u, [&](AgentIx a) {
+    return st_[a].label == label && !st_[a].settled;
+  });
+  settle(gi, amin, u, engine_.pinOf(amin));
+}
 
 Task GeneralSyncDispersion::groupFiber(std::uint32_t gi) {
   GroupCtx& ctx = groups_[gi];
-
-  // Settle the smallest-ID member at the start node.
-  {
-    const NodeId s = engine_.positionOf(ctx.leader);
-    const AgentIx amin = minIdAgentAt(engine_, s, [&](AgentIx a) {
-      return st_[a].label == ctx.label && !st_[a].settled;
-    });
-    settle(gi, amin, s, kNoPort);
-    ctx.treeSize = 1;
-  }
+  settleStart(gi);
 
   for (;;) {
     // Dormant / parked / absorbed handling.
@@ -294,84 +252,7 @@ Task GeneralSyncDispersion::groupFiber(std::uint32_t gi) {
       co_await engine_.nextRound();
       continue;
     }
-
-    const NodeId w = engine_.positionOf(ctx.leader);
-    if (rescanFound_[gi]) {
-      // A rescan stopped here because its probe found an empty port or a
-      // meeting; consume those results directly.  Re-probing would clear
-      // probeMet_ and exit at once (this node's `checked` is already
-      // exhausted when only a meeting was found), silently discarding the
-      // finding and rescanning forever.
-      rescanFound_[gi] = 0;
-    } else {
-      co_await probeStep(gi);
-      co_await returnGuests(gi);
-    }
-
-    // Meetings discovered by this probe (smallest label first).
-    for (const auto& [label, port] : probeMet_[gi]) {
-      co_await handleMeeting(gi, label, port);
-      if (ctx.frozen || ctx.dissolved) break;
-    }
-    if (ctx.dissolved || ctx.frozen) continue;
-
-    const Port next = probeNext_[gi];
-    const AgentIx aw = homeSettlerAt(engine_, st_, w, ctx.label);
-    DISP_CHECK(aw != kNoAgent, "head lost its settler");
-
-    if (next != kNoPort) {
-      // Sibling-chain bookkeeping for future collapse walks (undone below
-      // if the move has to retreat).
-      const Port prevFirst = st_[aw].firstChildPort;
-      const Port prevLatest = st_[aw].latestChildPort;
-      if (st_[aw].firstChildPort == kNoPort) {
-        st_[aw].firstChildPort = next;
-      } else {
-        co_await sideTripSetNextSibling(gi, w, st_[aw].latestChildPort, next);
-      }
-      st_[aw].latestChildPort = next;
-
-      co_await moveGroup(gi, next);
-      const NodeId u = engine_.positionOf(ctx.leader);
-      const Collision hit = forwardCollision(gi, u);
-      if (hit.retreat) {
-        ++stats_.retreats;
-        co_await moveGroup(gi, engine_.pinOf(ctx.leader));
-        // Undo the speculative sibling link: the child was not created.
-        st_[aw].firstChildPort = prevFirst;
-        st_[aw].latestChildPort = prevLatest;
-        if (prevLatest != kNoPort) {
-          co_await sideTripSetNextSibling(gi, w, prevLatest, kNoPort);
-        }
-        if (hit.met != kNoLabel) co_await handleMeeting(gi, hit.met, next);
-        continue;
-      }
-
-      ++stats_.forwardMoves;
-      ++ctx.treeSize;
-      const AgentIx amin = minIdAgentAt(engine_, u, [&](AgentIx a) {
-        return st_[a].label == ctx.label && !st_[a].settled;
-      });
-      settle(gi, amin, u, engine_.pinOf(amin));
-    } else {
-      const Port pp = st_[aw].parentPort;
-      if (pp == kNoPort) {
-        // Root exhausted while agents remain.  A collapse may have freed
-        // nodes behind already-checked ports anywhere along our tree, so
-        // sweep the whole tree re-probing (rescanVisit); if that finds
-        // nothing every frontier peer is busy — pend/retry after a pause.
-        if (ctx.pending.empty()) {
-          rescanFound_[gi] = 0;
-          co_await rescanVisit(gi);
-          if (!rescanFound_[gi]) co_await skipRounds(engine_, 8);
-        } else {
-          co_await skipRounds(engine_, 8);
-        }
-        continue;
-      }
-      ++stats_.backtracks;
-      co_await moveGroup(gi, pp);
-    }
+    co_await dfsStep(gi);
   }
 }
 

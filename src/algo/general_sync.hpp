@@ -13,11 +13,14 @@
 // implemented in sync_rooted.*; see DESIGN.md §4 for exactly what this
 // module does and does not reproduce of Theorem 8.1).
 //
-// Meetings between trees are resolved by KS subsumption, shared with the
-// ASYNC protocol (algo/subsumption.hpp).  This class supplies the SYNC
-// model primitives it runs on: a group hop stages every member's move and
-// takes one round, a wait step is one round, and a marcher has arrived
-// once its leader stands with ours.
+// The DFS step (settle, forward move with retreat, backtrack, rescan) and
+// the KS subsumption that resolves meetings between trees are shared with
+// the ASYNC protocol (algo/subsumption.hpp).  This class supplies the SYNC
+// model primitives they run on: a group hop stages every member's move and
+// takes one round, a wait step is one round, the probe is the doubling
+// probe followed by one round that returns every helper home, any member
+// runs the sibling-link errand, the smallest-ID member settles a new node,
+// and a marcher has arrived once its leader stands with ours.
 #include <cstdint>
 #include <vector>
 
@@ -77,26 +80,22 @@ class GeneralSyncDispersion : public KsSubsumption<GeneralSyncDispersion> {
   Task groupFiber(std::uint32_t gi);
   Task probeStep(std::uint32_t gi);   // result in probeNext_[gi] / probeMet_[gi]
   Task returnGuests(std::uint32_t gi);
-  Task sideTripSetNextSibling(std::uint32_t gi, NodeId w, Port prevChildPort,
-                              Port newChildPort);
-  /// Blocked-DFS recovery: Euler-walk the own tree, resetting probe
-  /// progress and re-probing at every node.  Needed because a collapse can
-  /// free nodes behind ports this DFS already advanced past (checked is
-  /// monotone).  Stops at the first node with a finding (rescanFound_);
-  /// the DFS resumes from there.
-  Task rescanVisit(std::uint32_t gi);
 
   [[nodiscard]] std::vector<AgentIx> groupAt(NodeId v, Label label) const;
-  void settle(std::uint32_t gi, AgentIx a, NodeId at, Port parentPort);
 
   // --- SYNC model primitives for KsSubsumption ---------------------------
   static constexpr std::uint64_t kWaitBound = 1ULL << 20;  // rounds
+  static constexpr std::uint32_t kRescanPause = 8;         // rounds
   Task moveGroup(std::uint32_t gi, Port p);  // stage every member; one round
   [[nodiscard]] StepAwait waitStep(std::uint32_t /*gi*/) { return engine_.nextRound(); }
+  Task probe(std::uint32_t gi);  // doubling probe, then every helper home
+  Task linkSibling(std::uint32_t gi, Port prevChildPort, Port newChildPort);  // a member goes
+  void settleForward(std::uint32_t gi, NodeId u);  // the min-ID unsettled member
   [[nodiscard]] bool marcherArrived(std::uint32_t mi, std::uint32_t gi) const {
     return engine_.positionOf(groups_[mi].leader) == engine_.positionOf(groups_[gi].leader);
   }
-  void onRelabel(AgentIx /*a*/, Label /*from*/, NodeId /*v*/) {}  // no indexes
+  void onSettle(AgentIx /*a*/, NodeId /*v*/) {}  // no indexes
+  void onRelabel(AgentIx /*a*/, Label /*from*/, NodeId /*v*/) {}
   void onUnsettle(AgentIx /*a*/, NodeId /*v*/) {}
   void recordMemory();
 
@@ -108,7 +107,6 @@ class GeneralSyncDispersion : public KsSubsumption<GeneralSyncDispersion> {
   // Per-group scratch (protocol-local values surfaced for the fiber).
   std::vector<Port> probeNext_;
   std::vector<std::vector<std::pair<Label, Port>>> probeMet_;
-  std::vector<std::uint8_t> rescanFound_;  // a rescan stopped at a finding
 
   // Exact O(1)/O(dirty) caches of quantities the protocol only ever derives
   // by scanning all groups or all agents.  At web scale (k = 2^20, ℓ large)

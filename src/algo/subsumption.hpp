@@ -1,9 +1,17 @@
 #pragma once
-// KS subsumption (paper §8, after [24]): the group table and the merge rules
-// shared by both general-configuration protocols, general_sync.* (§8.1) and
-// general_async.* (§8.2 / Theorem 8.2).  Each protocol keeps its own growing
-// phase and leader loop; everything that happens when two trees meet lives
-// here, once.
+// KS subsumption (paper §8, after [24]): the group table, the DFS step and
+// the merge rules shared by both general-configuration protocols,
+// general_sync.* (§8.1) and general_async.* (§8.2 / Theorem 8.2).  Each
+// protocol keeps its own probe, its time model and its leader loop around
+// the step; the DFS step and everything that happens when two trees meet
+// live here, once.
+//
+// The DFS step (dfsStep) runs at the leader's node w: probe (or take what a
+// rescan found there), register the meetings the probe saw, then move
+// forward through the empty port it found, linking the new child into w's
+// sibling chain and settling a member there; with no empty port, backtrack
+// to the parent, or, at an exhausted root, rescan the whole tree
+// (rescanVisit) and pause when that finds nothing.
 //
 // The rules: a probe or forward move that meets a foreign tree registers a
 // meeting (handleMeeting).  Sizes are compared — |D2| < |D1| means D1
@@ -25,16 +33,29 @@
 //                                    leader's next activation (ASYNC);
 //   kWaitBound                       steps a wait may take before it is a
 //                                    deadlock (a protocol bug);
+//   Task probe(gi)                   probe the leader's node; result in
+//                                    probeNext_[gi] (an empty port, or
+//                                    kNoPort) and probeMet_[gi] (foreign
+//                                    labels with their ports), every
+//                                    recruited helper home again;
+//   Task linkSibling(gi, prev, next) set the next-sibling port of the child
+//                                    behind port `prev` to `next`;
+//   void settleForward(gi, u)        settle a member at the new tree node u;
+//   kRescanPause                     steps an exhausted root waits when a
+//                                    rescan found nothing;
 //   bool marcherArrived(mi, gi)      the whole marcher group mi stands at
 //                                    gi's leader;
+//   void onSettle(a, v)              index upkeep: agent a settled at v;
 //   void onRelabel(a, from, v)       index upkeep: unsettled agent a at v
 //                                    moved from label `from` to its label;
 //   void onUnsettle(a, v)            index upkeep: settler a at v became an
 //                                    unsettled member of its label;
 //   void recordMemory()              re-record the memory ledger;
 // plus engine_, its per-agent state st_ (the tree-record fields label,
-// settled, isGuest, settledAt, parentPort, firstChildPort, nextSiblingPort)
-// and stats_ (meetings, subsumptions).
+// settled, isGuest, settledAt, parentPort, checked, firstChildPort,
+// latestChildPort, nextSiblingPort), the probe outputs probeNext_ and
+// probeMet_, and stats_ (forwardMoves, backtracks, retreats, meetings,
+// subsumptions).
 //
 // Documented simplifications (DESIGN.md §4.7): group contexts and the size
 // comparison stand in for KS's junction locking, and marches route by an
@@ -110,6 +131,17 @@ class KsSubsumption {
   /// Labels every agent; call once the protocol's st_ exists.
   void initGroups();
 
+  /// Settles agent a of group gi at node `at`, a new tree node whose parent
+  /// lies behind `parentPort` (kNoPort at the root).
+  void settle(std::uint32_t gi, AgentIx a, NodeId at, Port parentPort);
+  /// On the group's first lead, settles its smallest-ID member at the start
+  /// node as the tree's root.
+  void settleStart(std::uint32_t gi);
+  /// One DFS step of group gi at its leader's node (see the file comment).
+  /// Run it at a safe point, with members left to settle; it returns early
+  /// once the group is frozen or dissolved.
+  Task dfsStep(std::uint32_t gi);
+
   /// Follows the dissolution chain to the group that absorbed g.
   [[nodiscard]] std::uint32_t resolveGroup(std::uint32_t g) const {
     while (groups_[g].dissolved) g = groups_[g].absorbedBy;
@@ -132,6 +164,12 @@ class KsSubsumption {
   std::uint32_t marchingCount_ = 0;   // #groups with marching == true
 
  private:
+  /// Blocked-DFS recovery: Euler-walk the own tree, resetting probe
+  /// progress and re-probing at every node, because a collapse can free
+  /// nodes behind ports this DFS already advanced past (checked is
+  /// monotone).  Stops at the first node with a finding (rescanFound_); the
+  /// next DFS step resumes from there.
+  Task rescanVisit(std::uint32_t gi);
   Task awaitParked(std::uint32_t gi, std::uint32_t loser);
   Task collapseForeign(std::uint32_t gi, std::uint32_t loser, Port metPort);
   Task collapseVisit(std::uint32_t gi, Label loserLabel, Port exclPort);
@@ -146,6 +184,9 @@ class KsSubsumption {
   const auto& st(AgentIx a) const { return proto().st_[a]; }
 
   BfsScratch route_;  // march routing (stepToward); fibers resume serially
+  /// Per group: a rescan stopped at a finding that the next step consumes
+  /// (two groups can rescan at once).
+  std::vector<std::uint8_t> rescanFound_;
 };
 
 // ------------------------------------------------------------- group table
@@ -174,6 +215,7 @@ void KsSubsumption<Protocol>::initGroups() {
     unsettledTotal_ += ctx.unsettled;
     groups_.push_back(std::move(ctx));
   }
+  rescanFound_.assign(groups_.size(), 0);
 }
 
 template <typename Protocol>
@@ -193,6 +235,148 @@ AgentIx KsSubsumption<Protocol>::anySettlerAt(NodeId v) const {
     if (st(a).settled && !st(a).isGuest && st(a).settledAt == v) return a;
   }
   return kNoAgent;
+}
+
+// --------------------------------------------------------------- DFS step
+
+template <typename Protocol>
+void KsSubsumption<Protocol>::settle(std::uint32_t gi, AgentIx a, NodeId at,
+                                     Port parentPort) {
+  auto& s = st(a);
+  DISP_CHECK(!s.settled, "double settle");
+  s.settled = true;
+  s.settledAt = at;
+  s.parentPort = parentPort;
+  s.checked = 0;
+  s.firstChildPort = s.latestChildPort = s.nextSiblingPort = kNoPort;
+  proto().onSettle(a, at);
+  --groups_[gi].unsettled;
+  --unsettledTotal_;
+  engine().traceSettle(a, groups_[gi].label);
+  proto().recordMemory();
+}
+
+template <typename Protocol>
+void KsSubsumption<Protocol>::settleStart(std::uint32_t gi) {
+  GroupCtx& ctx = groups_[gi];
+  if (ctx.treeSize > 0) return;  // a later lead resumes the grown tree
+  const NodeId s = engine().positionOf(ctx.leader);
+  const AgentIx amin = minIdAgentAt(engine(), s, [&](AgentIx a) {
+    return st(a).label == ctx.label && !st(a).settled;
+  });
+  DISP_CHECK(amin != kNoAgent, "no agent to settle at the start node");
+  settle(gi, amin, s, kNoPort);
+  ctx.treeSize = 1;
+}
+
+template <typename Protocol>
+Task KsSubsumption<Protocol>::dfsStep(std::uint32_t gi) {
+  auto& engine = proto().engine_;
+  auto& stats = proto().stats_;
+  GroupCtx& ctx = groups_[gi];
+  const NodeId w = engine.positionOf(ctx.leader);
+  if (rescanFound_[gi]) {
+    // A rescan stopped here because its probe found an empty port or a
+    // meeting; consume those results directly.  Re-probing would clear
+    // probeMet_ and exit at once (this node's `checked` is already
+    // exhausted when only a meeting was found), silently discarding the
+    // finding and rescanning forever.
+    rescanFound_[gi] = 0;
+  } else {
+    co_await proto().probe(gi);
+  }
+
+  // Meetings discovered by the probe (in the order it reported them).
+  for (const auto& [label, port] : proto().probeMet_[gi]) {
+    co_await handleMeeting(gi, label, port);
+    if (ctx.frozen || ctx.dissolved) break;
+  }
+  if (ctx.dissolved || ctx.frozen) co_return;
+
+  const Port next = proto().probeNext_[gi];
+  const AgentIx aw = homeSettlerAt(engine, proto().st_, w, ctx.label);
+  DISP_CHECK(aw != kNoAgent, "head lost its settler");
+
+  if (next != kNoPort) {
+    // Sibling-chain bookkeeping for future collapse walks (undone below if
+    // the move has to retreat).
+    const Port prevFirst = st(aw).firstChildPort;
+    const Port prevLatest = st(aw).latestChildPort;
+    if (prevFirst == kNoPort) {
+      st(aw).firstChildPort = next;
+    } else {
+      co_await proto().linkSibling(gi, prevLatest, next);
+    }
+    st(aw).latestChildPort = next;
+
+    co_await proto().moveGroup(gi, next);
+    const NodeId u = engine.positionOf(ctx.leader);
+    const Collision hit = forwardCollision(gi, u);
+    if (hit.retreat) {
+      ++stats.retreats;
+      co_await proto().moveGroup(gi, engine.pinOf(ctx.leader));
+      // Undo the speculative sibling link: the child was not created.
+      st(aw).firstChildPort = prevFirst;
+      st(aw).latestChildPort = prevLatest;
+      if (prevLatest != kNoPort) co_await proto().linkSibling(gi, prevLatest, kNoPort);
+      if (hit.met != kNoLabel) co_await handleMeeting(gi, hit.met, next);
+      co_return;
+    }
+    ++stats.forwardMoves;
+    ++ctx.treeSize;
+    proto().settleForward(gi, u);
+    co_return;
+  }
+
+  const Port pp = st(aw).parentPort;
+  if (pp != kNoPort) {
+    ++stats.backtracks;
+    co_await proto().moveGroup(gi, pp);
+    co_return;
+  }
+  // Root exhausted while agents remain.  A collapse may have freed nodes
+  // behind already-checked ports anywhere along our tree, so sweep the
+  // whole tree re-probing (rescanVisit); if that finds nothing every
+  // frontier peer is busy — pend/retry after a pause.
+  if (ctx.pending.empty()) {
+    rescanFound_[gi] = 0;
+    co_await rescanVisit(gi);
+    if (rescanFound_[gi]) co_return;
+  }
+  for (std::uint32_t i = 0; i < Protocol::kRescanPause; ++i) {
+    co_await proto().waitStep(gi);
+  }
+}
+
+template <typename Protocol>
+Task KsSubsumption<Protocol>::rescanVisit(std::uint32_t gi) {
+  auto& engine = proto().engine_;
+  GroupCtx& ctx = groups_[gi];
+  ctx.phase = "rescan";
+  const NodeId cur = engine.positionOf(ctx.leader);
+  const AgentIx settler = homeSettlerAt(engine, proto().st_, cur, ctx.label);
+  DISP_CHECK(settler != kNoAgent, "rescan reached a non-own node");
+
+  st(settler).checked = 0;
+  co_await proto().probe(gi);
+  if (proto().probeNext_[gi] != kNoPort || !proto().probeMet_[gi].empty()) {
+    rescanFound_[gi] = 1;  // resume the DFS right here
+    co_return;
+  }
+
+  Port c = st(settler).firstChildPort;
+  while (c != kNoPort) {
+    co_await proto().moveGroup(gi, c);
+    const Port backUp = engine.pinOf(ctx.leader);
+    const AgentIx cs =
+        homeSettlerAt(engine, proto().st_, engine.positionOf(ctx.leader), ctx.label);
+    DISP_CHECK(cs != kNoAgent, "rescan child without settler");
+    const Port sib = st(cs).nextSiblingPort;
+    co_await rescanVisit(gi);
+    if (rescanFound_[gi]) co_return;  // stay put; frames unwind without moving
+    co_await proto().moveGroup(gi, backUp);
+    c = sib;
+  }
 }
 
 // --------------------------------------------------------------- meetings
