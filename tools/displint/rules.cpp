@@ -568,6 +568,32 @@ void ruleMutableStatic(const FileInput& in, std::vector<Finding>& out) {
   }
 }
 
+// ----------------------------------------------- DL007 co-await-condition
+
+// All scanned files.  gcc 12.2 miscompiles a co_await in a loop condition:
+// with `while (!co_await engine.park(a))` a woken fiber never left the
+// loop.  Await in the body and test a local instead:
+// `for (bool woken = false; !woken;) woken = co_await engine.park(a);`.
+// The parenthesized header of every while or for is checked, which covers
+// the condition of a do ... while as well.
+void ruleCoAwaitCondition(const FileInput& in, std::vector<Finding>& out) {
+  const Toks ts{in.lex.tokens};
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    if (!ts.ident(i, "while") && !ts.ident(i, "for")) continue;
+    if (!ts.punct(i + 1, "(")) continue;
+    const std::size_t close = matchParen(ts, i + 1);
+    if (close == npos) continue;
+    for (std::size_t j = i + 2; j < close; ++j) {
+      if (ts.ident(j, "co_await")) {
+        report(in, out, ts.line(j), "DL007",
+               "co_await in a '" + ts.text(i) +
+                   "' loop header — gcc 12 miscompiles it; await in the loop "
+                   "body and test a local");
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------- DL006 trace-schema
 
 // Cross-file: every stable kind name returned by traceEventKindName
@@ -690,6 +716,9 @@ const std::vector<RuleInfo>& ruleCatalog() {
       {"DL006", "trace-schema",
        "TraceEvent kinds in core/trace.cpp and the scripts/check_trace.sh KINDS "
        "schema must match exactly"},
+      {"DL007", "co-await-condition",
+       "co_await inside a while/for header or a do-while condition — gcc 12 "
+       "miscompiles it"},
   };
   return catalog;
 }
@@ -706,6 +735,7 @@ void runFileRules(const FileInput& in, std::vector<Finding>& findings) {
   rulePointerOrder(in, findings);
   ruleCheckSideEffect(in, findings);
   ruleMutableStatic(in, findings);
+  ruleCoAwaitCondition(in, findings);
 }
 
 void runCrossRules(const std::string& root, std::vector<Finding>& findings) {

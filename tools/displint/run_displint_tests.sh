@@ -77,6 +77,14 @@ run 1 --root="$TD" --assume=fact "$TD/viol_dl005.cpp"
 [[ "$(count DL005)" == 3 ]] || fail "viol_dl005: want 3 DL005, got: $OUT"
 only_rules DL005
 
+run 1 --root="$TD" --assume=fact "$TD/viol_dl007.cpp"
+[[ "$(count DL007)" == 3 ]] || fail "viol_dl007: want 3 DL007, got: $OUT"
+only_rules DL007
+
+# DL007 is not scope-gated: the miscompile does not care where the code lives
+run 1 --root="$TD" --assume=exempt "$TD/viol_dl007.cpp"
+[[ "$(count DL007)" == 3 ]] || fail "viol_dl007 (exempt): want 3 DL007, got: $OUT"
+
 # --- suppression hygiene: defective allows surface as DL000 ----------------
 run 1 --root="$TD" --assume=fact "$TD/suppress_partial.cpp"
 [[ "$(count DL000)" == 4 ]] || fail "suppress_partial: want 4 DL000, got: $OUT"
@@ -97,7 +105,7 @@ grep -q 'ghost' <<<"$OUT" || fail "trace_bad: stale-schema finding absent"
 
 # --- catalog & usage surface ----------------------------------------------
 run 0 --list-rules
-for id in DL000 DL001 DL002 DL003 DL004 DL005 DL006; do
+for id in DL000 DL001 DL002 DL003 DL004 DL005 DL006 DL007; do
   grep -q "^$id" <<<"$OUT" || fail "--list-rules missing $id"
 done
 
