@@ -39,7 +39,7 @@ void printUsage(std::ostream& os) {
         "  --faults='none;crash:rate=0.25,restart=64;churn:edges=4,every=32'\n"
         "(the `faults` sweep is the self-stabilization scorecard).\n"
         "--shard=I/N runs every Nth cell of the deterministic enumeration;\n"
-        "merge shard JSONL outputs with scripts/merge_jsonl.sh.\n"
+        "merge shard JSONL outputs with `disp_fleet merge --dup=error`.\n"
         "--list-cells prints the enumeration (one JSON line per cell) without\n"
         "running anything; --stream-cells flushes the JSONL sink after every\n"
         "cell so rows are durable under kill -9 (disp_fleet drives both).\n"

@@ -46,13 +46,9 @@ jsonl_path, baseline_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
 # Lower-is-better metric columns, compared under the tolerance.
 METRICS = {"RootedSync(ours)", "Sudo-style", "KS-baseline", "RootedAsync(ours)",
            "KS-async", "rounds", "epochs", "bits"}
-# Experiment-identity columns, compared exactly.
+# Experiment-identity columns, compared exactly.  Every other column
+# (machine-dependent telemetry, derived ratios) is never compared.
 IDENTITY = {"k", "n", "m", "Delta", "family", "l", "sched", "algo", "dispersed"}
-# Machine-dependent telemetry: never compared, never a failure.  Wallclock
-# and memory numbers document the recording machine; the simulation facts
-# they ride alongside are covered by IDENTITY/METRICS above.
-TELEMETRY = {"ms", "Mact/s", "Mmoves/s", "load_ms", "peak_rss_mb",
-             "rss_lb_mb", "rss_ratio"}
 
 fresh = {}
 with open(jsonl_path) as f:
@@ -83,8 +79,6 @@ for name, bench in baseline["benches"].items():
         ident = " ".join(f"{k}={b[k]}" for k in ("algo", "family", "k", "l", "sched")
                          if k in b)
         for key, bval in b.items():
-            if key in TELEMETRY:
-                continue
             if key in IDENTITY:
                 if f.get(key) != bval:
                     fail(f"{name} row {i} ({ident}): {key} = {f.get(key)!r}, "

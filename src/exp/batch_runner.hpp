@@ -13,7 +13,7 @@
 // cell enumeration by index — cell i runs iff i % shardCount == shardIndex
 // — so N disp_bench processes with --shard=0/N .. N-1/N cover a sweep
 // disjointly and deterministically.  Skipped cells keep their key with no
-// replicates (Cell::ran() == false); scripts/merge_jsonl.sh recombines the
+// replicates (Cell::ran() == false); `disp_fleet merge` recombines the
 // shards' JSONL outputs.
 
 #include <atomic>

@@ -239,7 +239,7 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
   }
 
   // --shard=I/N: deterministic cell-index partition (merge the JSONL
-  // outputs with scripts/merge_jsonl.sh or disp_fleet merge).
+  // outputs with disp_fleet merge).
   if (cli.has("shard")) {
     try {
       const auto sh = parseShardFlag(cli.str("shard", ""));

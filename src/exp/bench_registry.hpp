@@ -28,8 +28,8 @@
 //                    FaultSpec strings ('none;crash:rate=0.25,restart=64')
 //   --shard=I/N      run only cells with index ≡ I (mod N) of each suite's
 //                    deterministic enumeration; merge the JSONL shard
-//                    outputs with scripts/merge_jsonl.sh (or let the
-//                    disp_fleet coordinator drive shards + merge for you).
+//                    outputs with `disp_fleet merge --dup=error` (or let
+//                    the disp_fleet coordinator drive shards + merge).
 //                    Canonical form only: decimal I and N, no leading
 //                    zeros, 0 <= I < N <= 4096.  A shard owning zero cells
 //                    exits with kEmptyShardExitCode so a coordinator can

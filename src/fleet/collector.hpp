@@ -16,8 +16,8 @@
 // Two rows with the same coordinates must agree on every fact column.
 // Agreement → the duplicate is dropped (DupPolicy::Dedup — retries and
 // cross-shard repeats of shared rows are expected) or reported
-// (DupPolicy::Error — scripts/merge_jsonl.sh's historical "overlapping
-// shards?" contract).  Disagreement is a *divergence*: the run was not
+// (DupPolicy::Error — the "overlapping shards?" contract for hand-run
+// shards that must be disjoint).  Disagreement is a *divergence*: the run was not
 // deterministic (or a file was corrupted) and the merge fails loudly with
 // a cell-level diff either way.
 //
