@@ -75,9 +75,9 @@ class Coordinator {
   int run() {
     prepare();
     events_.emit("run_start", {{"sweeps", joinList(manifest_.sweeps)},
-                               {"fleet", transport_->describe()},
+                               {"fleet", transport_.describe()},
                                {"shards", std::to_string(manifest_.shardCount)},
-                               {"workers", std::to_string(transport_->slots())},
+                               {"workers", std::to_string(transport_.slots())},
                                {"cells", std::to_string(manifest_.totalCells)},
                                {"resumed", opt_.resume ? "yes" : "no"}});
     // Recovery happens inside prepare() (it decides the shard states the
@@ -92,7 +92,7 @@ class Coordinator {
 
  private:
   const FleetOptions& opt_;
-  std::unique_ptr<WorkerTransport> transport_;
+  LocalTransport transport_;
   std::string manifestPath_;
   FleetEventLog events_;
   Manifest manifest_;
@@ -133,11 +133,11 @@ class Coordinator {
       manifest_ = Manifest::load(manifestPath_);
       validateResume();
       recoverShards();
-      manifest_.fleetSpec = transport_->describe();  // fleet size may change
+      manifest_.fleetSpec = transport_.describe();  // fleet size may change
     } else {
       manifest_.sweeps = opt_.sweeps;
       manifest_.benchArgs = opt_.benchArgs;
-      manifest_.fleetSpec = transport_->describe();
+      manifest_.fleetSpec = transport_.describe();
       manifest_.shardCount = opt_.shardCount;
       manifest_.totalCells = opt_.totalCells;
       for (std::uint32_t i = 0; i < opt_.shardCount; ++i) {
@@ -161,7 +161,7 @@ class Coordinator {
       }
     }
     manifest_.save(manifestPath_);
-    slots_.assign(transport_->slots(), RunningWorker{});
+    slots_.assign(transport_.slots(), RunningWorker{});
     failuresThisRun_.assign(manifest_.shardCount, 0);
     eligibleAt_.assign(manifest_.shardCount, Clock::now());
   }
@@ -243,7 +243,7 @@ class Coordinator {
   void launch(ShardEntry& sh, std::uint32_t slot) {
     sh.attempts += 1;
     sh.state = ShardState::Running;
-    sh.worker = transport_->slotName(slot);
+    sh.worker = transport_.slotName(slot);
     const std::string outName =
         shardAttemptName(sh.index, manifest_.shardCount, sh.attempts, "jsonl");
     sh.outputs.push_back(outName);
@@ -262,7 +262,7 @@ class Coordinator {
     w.shard = sh.index;
     w.attempt = sh.attempts;
     w.output = (fs::path(opt_.dir) / outName).string();
-    w.handle = transport_->spawn(
+    w.handle = transport_.spawn(
         argv, shardPath(sh.index, sh.attempts, "log"), slot);
     w.active = true;
     w.lastSize = 0;
@@ -295,7 +295,7 @@ class Coordinator {
         note("shard " + std::to_string(w.shard) + " stalled (no JSONL growth for " +
              std::to_string(static_cast<long long>(idle)) + "s) — killing");
         w.stalled = true;
-        transport_->terminate(w.handle);
+        transport_.terminate(w.handle);
       }
       if (!chaosFired_ && opt_.chaosKillRows > 0 &&
           countLines(w.output) >= opt_.chaosKillRows) {
@@ -305,7 +305,7 @@ class Coordinator {
                                     {"rows", std::to_string(opt_.chaosKillRows)}});
         note("chaos: SIGKILL shard " + std::to_string(w.shard) + " attempt " +
              std::to_string(w.attempt));
-        transport_->terminate(w.handle);
+        transport_.terminate(w.handle);
       }
     }
   }
@@ -313,7 +313,7 @@ class Coordinator {
   void reapExits() {
     for (RunningWorker& w : slots_) {
       if (!w.active) continue;
-      const WorkerStatus st = transport_->poll(w.handle);
+      const WorkerStatus st = transport_.poll(w.handle);
       if (st.running) continue;
       w.active = false;
       ShardEntry& sh = manifest_.shards[w.shard];

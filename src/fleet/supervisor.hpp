@@ -1,6 +1,6 @@
 #pragma once
-// The fleet coordinator: manifest-driven shard dispatch over a
-// WorkerTransport, heartbeat-by-progress supervision, bounded retry with
+// The fleet coordinator: manifest-driven shard dispatch over a local
+// worker pool, heartbeat-by-progress supervision, bounded retry with
 // exponential backoff, restart-resume from flushed JSONL rows, and the
 // final collect + divergence audit (DESIGN.md §13).
 //

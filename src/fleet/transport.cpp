@@ -92,7 +92,7 @@ void LocalTransport::terminate(std::uint64_t handle) {
 
 // -------------------------------------------------------------- factory
 
-std::unique_ptr<WorkerTransport> makeTransport(const std::string& spec) {
+LocalTransport makeTransport(const std::string& spec) {
   const auto colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
   const std::string rest =
@@ -107,7 +107,7 @@ std::unique_ptr<WorkerTransport> makeTransport(const std::string& spec) {
       throw std::invalid_argument("bad fleet spec '" + spec +
                                   "': worker count must be in [1, 1024]");
     }
-    return std::make_unique<LocalTransport>(static_cast<std::uint32_t>(p));
+    return LocalTransport(static_cast<std::uint32_t>(p));
   }
   throw std::invalid_argument("bad fleet spec '" + spec +
                               "': the known transport is local:P");

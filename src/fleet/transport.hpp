@@ -1,6 +1,6 @@
 #pragma once
-// WorkerTransport — how the coordinator starts and watches worker
-// processes, abstracted so shard dispatch is transport-agnostic.
+// LocalTransport — how the coordinator starts and watches worker
+// processes.
 //
 // Fleet spec grammar (parse errors throw std::invalid_argument):
 //
@@ -12,7 +12,6 @@
 // JSONL growth; the supervisor never inspects worker internals.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,50 +26,37 @@ struct WorkerStatus {
   int signal = 0;
 };
 
-class WorkerTransport {
+/// A pool of local worker processes.  Handles are PIDs; poll is
+/// waitpid(WNOHANG).
+class LocalTransport {
  public:
-  virtual ~WorkerTransport() = default;
+  explicit LocalTransport(std::uint32_t slots);
 
   /// Human-readable transport description ("local:4").
-  [[nodiscard]] virtual std::string describe() const = 0;
-  /// Concurrent worker slots this transport offers.
-  [[nodiscard]] virtual std::uint32_t slots() const = 0;
+  [[nodiscard]] std::string describe() const;
+  /// Concurrent worker slots this pool offers.
+  [[nodiscard]] std::uint32_t slots() const { return slots_; }
   /// Short per-slot label recorded in the manifest ("local:2").
-  [[nodiscard]] virtual std::string slotName(std::uint32_t slot) const = 0;
+  [[nodiscard]] std::string slotName(std::uint32_t slot) const;
 
   /// Launches `argv` (argv[0] = binary) on `slot`, redirecting stdout and
   /// stderr to `logPath` (append).  Returns an opaque worker handle.
   /// Throws std::runtime_error on launch failure.
-  [[nodiscard]] virtual std::uint64_t spawn(const std::vector<std::string>& argv,
-                                            const std::string& logPath,
-                                            std::uint32_t slot) = 0;
+  [[nodiscard]] std::uint64_t spawn(const std::vector<std::string>& argv,
+                                    const std::string& logPath, std::uint32_t slot);
 
   /// Non-blocking status check for a handle returned by spawn().
-  [[nodiscard]] virtual WorkerStatus poll(std::uint64_t handle) = 0;
+  [[nodiscard]] WorkerStatus poll(std::uint64_t handle);
 
   /// Hard-kills the worker (SIGKILL semantics — the crash-failure model);
   /// the exit must still be observed via poll() to release the handle.
-  virtual void terminate(std::uint64_t handle) = 0;
-};
-
-/// Local process pool: handles are PIDs, poll is waitpid(WNOHANG).
-class LocalTransport final : public WorkerTransport {
- public:
-  explicit LocalTransport(std::uint32_t slots);
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] std::uint32_t slots() const override { return slots_; }
-  [[nodiscard]] std::string slotName(std::uint32_t slot) const override;
-  [[nodiscard]] std::uint64_t spawn(const std::vector<std::string>& argv,
-                                    const std::string& logPath,
-                                    std::uint32_t slot) override;
-  [[nodiscard]] WorkerStatus poll(std::uint64_t handle) override;
-  void terminate(std::uint64_t handle) override;
+  void terminate(std::uint64_t handle);
 
  private:
   std::uint32_t slots_;
 };
 
-/// Parses a fleet spec ("local:4") into a transport.
-[[nodiscard]] std::unique_ptr<WorkerTransport> makeTransport(const std::string& spec);
+/// Parses a fleet spec ("local:4") into a worker pool.
+[[nodiscard]] LocalTransport makeTransport(const std::string& spec);
 
 }  // namespace disp::fleet

@@ -346,9 +346,9 @@ TEST(Collector, CountsDistinctCellRowsAcrossAttempts) {
 
 TEST(Transport, ParsesLocalPools) {
   const auto t = makeTransport("local:4");
-  EXPECT_EQ(t->slots(), 4u);
-  EXPECT_EQ(t->describe(), "local:4");
-  EXPECT_EQ(t->slotName(2), "local:2");
+  EXPECT_EQ(t.slots(), 4u);
+  EXPECT_EQ(t.describe(), "local:4");
+  EXPECT_EQ(t.slotName(2), "local:2");
 }
 
 TEST(Transport, RejectsBadSpecs) {

@@ -144,7 +144,7 @@ int cmdRun(const Cli& cli) {
   // invocation — the same arithmetic disp_bench --shard applies).
   std::uint32_t slots = 0;
   try {
-    slots = disp::fleet::makeTransport(opt.fleetSpec)->slots();
+    slots = disp::fleet::makeTransport(opt.fleetSpec).slots();
   } catch (const std::exception& e) {
     return usageError(e.what());
   }
