@@ -4,10 +4,12 @@
 //   disp_bench --list
 //   disp_bench all --threads=8 --jsonl=run.jsonl
 //   disp_bench table1_sync_rooted fig5_sync_probe --seeds=1,2,3,4,5
+//   disp_bench merge --out=all.jsonl shard0.jsonl shard1.jsonl
 #include <iostream>
 
 #include "algo/registry.hpp"
 #include "exp/bench_registry.hpp"
+#include "exp/merge.hpp"
 #include "graph/spec.hpp"
 #include "util/cli.hpp"
 
@@ -18,8 +20,9 @@ void printUsage(std::ostream& os) {
         "                  [--trace=PATH | --trajectory=PATH] [--sample=N]\n"
         "                  [--graphs=SPEC;SPEC] [--placements=SPEC;SPEC]\n"
         "                  [--ks=a,b,c] [--faults=SPEC;SPEC] [--shard=I/N]\n"
-        "                  [--list-cells] [--stream-cells]\n"
-        "                  <sweep>... | all\n\n"
+        "                  [--stream-cells]\n"
+        "                  <sweep>... | all\n"
+        "       disp_bench merge --out=PATH FILE...\n\n"
         "sweeps:\n";
   for (const auto& def : disp::exp::benchRegistry()) {
     os << "  " << def.name << (def.heavy ? "  (excluded from `all`)" : "")
@@ -39,18 +42,47 @@ void printUsage(std::ostream& os) {
         "  --faults='none;crash:rate=0.25,restart=64;churn:edges=4,every=32'\n"
         "(the `faults` sweep is the self-stabilization scorecard).\n"
         "--shard=I/N runs every Nth cell of the deterministic enumeration;\n"
-        "merge shard JSONL outputs with `disp_fleet merge --dup=error`.\n"
-        "--list-cells prints the enumeration (one JSON line per cell) without\n"
-        "running anything; --stream-cells flushes the JSONL sink after every\n"
-        "cell so rows are durable under kill -9 (disp_fleet drives both).\n"
-        "Exit codes: 0 ok, 1 sweep error, 2 usage (an unknown flag included),\n"
-        "3 shard owns zero cells.\n"
+        "--stream-cells writes one flushed JSONL row per finished cell, so a\n"
+        "killed shard keeps what it finished.  `merge` joins shard JSONL\n"
+        "files, refusing overlapping shards, torn lines and diverging facts\n"
+        "(rerun a killed shard, then merge).\n"
+        "Exit codes: 0 ok, 1 sweep error or refused merge, 2 usage (an\n"
+        "unknown flag included).\n"
         "Algorithms are registry keys:\n";
   os << " ";
   for (const auto& key : disp::algorithmKeys()) os << " " << key;
   os << "\ngraph families:\n ";
   for (const auto& key : disp::graphFamilyKeys()) os << " " << key;
   os << "\nDISP_BENCH_SCALE in {0.5, 1, 2, 4} scales every sweep.\n";
+}
+
+// The audited shard merge (exp/merge.hpp): exit 0 merged, 1 refused
+// (nothing written), 2 usage.
+int runMerge(const disp::Cli& cli) {
+  for (const auto& [flag, value] : cli.flags()) {
+    if (flag != "out") {
+      std::cerr << "error: unknown flag --" << flag << " (merge takes only --out)\n";
+      return 2;
+    }
+  }
+  const std::string out = cli.str("out", "");
+  const std::vector<std::string> files(cli.positional().begin() + 1,
+                                       cli.positional().end());
+  if (out.empty() || files.empty()) {
+    std::cerr << "usage: disp_bench merge --out=PATH FILE...\n";
+    return 2;
+  }
+  const disp::exp::MergeResult res = disp::exp::mergeJsonl(files, out);
+  for (const auto& d : res.divergences) {
+    std::cerr << "DIVERGENCE [" << d.identity << "] column '" << d.column
+              << "': " << d.whereA << " says '" << d.valueA << "', "
+              << d.whereB << " says '" << d.valueB << "'\n";
+  }
+  for (const std::string& e : res.errors) std::cerr << "error: " << e << "\n";
+  if (!res.ok) return 1;
+  std::cout << "merged " << res.rowsOut << " rows from " << files.size()
+            << " files into " << out << "\n";
+  return 0;
 }
 
 }  // namespace
@@ -67,6 +99,7 @@ int main(int argc, char** argv) {
       printUsage(std::cerr);
       return 2;
     }
+    if (names[0] == "merge") return runMerge(cli);
     if (names.size() == 1 && names[0] == "all") {
       names.clear();
       for (const auto& def : disp::exp::benchRegistry()) {

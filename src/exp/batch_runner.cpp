@@ -85,21 +85,6 @@ SweepResult BatchRunner::run(const SweepSpec& spec) const {
       owned.push_back(i);
     }
   }
-  if (options_.ownedCells != nullptr) {
-    options_.ownedCells->fetch_add(owned.size(), std::memory_order_relaxed);
-  }
-
-  // Enumerate-only: the axes are validated, the canonical order and shard
-  // partition are fixed — report them and stop before any graph exists.
-  if (options_.onCellListed) {
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      options_.onCellListed(i, keys[i],
-                            i % options_.shardCount == options_.shardIndex);
-    }
-    for (Cell& cell : result.cells) cell.replicates.clear();
-    return result;
-  }
-
   // Build each distinct graph instance once.  The cache key is
   // GraphSpec::instanceKey — the canonical spec string plus the context
   // size and seed it actually consumes — so cells that vary algorithm /

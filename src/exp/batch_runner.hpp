@@ -13,10 +13,9 @@
 // cell enumeration by index — cell i runs iff i % shardCount == shardIndex
 // — so N disp_bench processes with --shard=0/N .. N-1/N cover a sweep
 // disjointly and deterministically.  Skipped cells keep their key with no
-// replicates (Cell::ran() == false); `disp_fleet merge` recombines the
+// replicates (Cell::ran() == false); `disp_bench merge` recombines the
 // shards' JSONL outputs.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -46,16 +45,6 @@ struct BatchOptions {
   /// resident (shared Graph included).  Under concurrent cells the sample
   /// would be cross-cell noise, so it is skipped (peakRssMb stays 0).
   bool resetPeakRss = false;
-  /// Enumerate-only mode (disp_bench --list-cells / the disp_fleet
-  /// coordinator's shard sizing): when set, run() validates the spec and
-  /// invokes this for every cell of the canonical enumeration — in order,
-  /// with `owned` per the shard partition above — then returns a result
-  /// whose cells carry keys but no replicates.  Nothing is simulated and
-  /// no graph is built.
-  std::function<void(std::size_t index, const CellKey& key, bool owned)> onCellListed;
-  /// When set, run() adds the number of cells this shard owns (whether or
-  /// not enumerate-only) — how disp_bench detects an empty shard.
-  std::atomic<std::uint64_t>* ownedCells = nullptr;
   /// Observer plumbing: when set, invoked for every (cell, replicate)
   /// right before its run to install trace/snapshot hooks on the run's
   /// RunOptions.  Called concurrently from worker threads — both the hook

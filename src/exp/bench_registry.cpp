@@ -1,12 +1,10 @@
 #include "exp/bench_registry.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <memory>
-#include <streambuf>
 
 #include "algo/placement.hpp"
 #include "core/faults.hpp"
@@ -46,8 +44,6 @@ const std::vector<BenchDef>& benchRegistry() {
        &benchAblationTechniques},
       {"ablation_scheduler", "E13: epoch robustness across ASYNC schedulers",
        &benchAblationScheduler},
-      {"wallclock", "E14: simulator wall-clock per run (telemetry)",
-       &benchWallclock, /*heavy=*/false, /*shardable=*/false},
       {"scale_real", "E19: web-scale ingest & peak-RSS campaign (n=10^6..10^7)",
        &benchScaleReal, /*heavy=*/true},
       {"trace_smoke", "E16: tiny observed cells (drives --trace / check_trace.sh)",
@@ -78,8 +74,7 @@ std::pair<unsigned, unsigned> parseShardFlag(const std::string& value) {
   }
   const std::string index = value.substr(0, slash);
   const std::string count = value.substr(slash + 1);
-  // Canonical decimal only: one spelling per shard, so coordinator file
-  // names and dedup identities can never alias ("01/4" vs "1/4").
+  // Canonical decimal only: one spelling per shard ("01/4" is not "1/4").
   const auto canonical = [](const std::string& s) {
     if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) return false;
     return s.size() == 1 || s[0] != '0';
@@ -97,8 +92,7 @@ std::pair<unsigned, unsigned> parseShardFlag(const std::string& value) {
 namespace {
 
 /// --seeds/--graphs/--placements/--faults/--ks, validated up front so a
-/// typo'd spec fails before any sweep runs.  Shared by runBenches and
-/// listBenchCells; throws std::invalid_argument.
+/// typo'd spec fails before any sweep runs; throws std::invalid_argument.
 void applyAxisOverrides(BenchContext& ctx, const Cli& cli) {
   ctx.seedOverride = cli.u64list("seeds");
   // Workload overrides: ';'-separated GraphSpec / PlacementSpec strings
@@ -121,46 +115,10 @@ void applyAxisOverrides(BenchContext& ctx, const Cli& cli) {
 /// else is a typo or a retired flag, rejected before any sweep runs.
 constexpr const char* kBenchFlags[] = {
     "threads", "seeds", "jsonl", "trace", "trajectory", "sample", "graphs",
-    "placements", "ks", "faults", "shard", "list-cells", "stream-cells",
-};
-
-struct NullBuffer : std::streambuf {
-  int overflow(int c) override { return c; }
+    "placements", "ks", "faults", "shard", "stream-cells",
 };
 
 }  // namespace
-
-std::vector<ListedCell> listBenchCells(const std::vector<std::string>& names,
-                                       const Cli& cli) {
-  for (const std::string& name : names) {
-    const BenchDef* def = findBench(name);
-    if (def == nullptr) throw std::invalid_argument("unknown sweep '" + name + "'");
-    if (!def->shardable) {
-      throw std::invalid_argument(
-          "sweep '" + name + "' is not shardable (hand-rolled loop outside "
-          "the canonical cell enumeration) — every shard would rerun it whole");
-    }
-  }
-  NullBuffer nullBuf;
-  std::ostream nullOut(&nullBuf);
-  BenchContext ctx{nullOut, nullptr, {}, {}, {}, {}, {}, {}};
-  applyAxisOverrides(ctx, cli);
-  ctx.enumerateOnly = true;
-  std::vector<ListedCell> out;
-  std::string currentSweep;
-  std::size_t invocations = 0;
-  ctx.batch.onCellListed = [&out, &currentSweep, &invocations](
-                               std::size_t index, const CellKey& key, bool) {
-    if (index == 0) ++invocations;  // every run() call starts at cell 0
-    out.push_back({currentSweep, invocations - 1, index, key});
-  };
-  for (const std::string& name : names) {
-    currentSweep = name;
-    invocations = 0;
-    findBench(name)->fn(ctx);
-  }
-  return out;
-}
 
 int runBenches(const std::vector<std::string>& names, const Cli& cli) {
   for (const std::string& name : names) {
@@ -176,38 +134,6 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
     if (std::find(std::begin(kBenchFlags), std::end(kBenchFlags), flag) ==
         std::end(kBenchFlags)) {
       std::cerr << "error: unknown flag --" << flag << "\n";
-      return 2;
-    }
-  }
-
-  // --list-cells: print the canonical enumeration (respecting --shard and
-  // the axis overrides) as JSON lines and exit — nothing is simulated.  An
-  // empty listing is a valid answer, so this path always exits 0.
-  if (cli.has("list-cells")) {
-    unsigned listShardIndex = 0, listShardCount = 1;
-    try {
-      if (cli.has("shard")) {
-        const auto sh = parseShardFlag(cli.str("shard", ""));
-        listShardIndex = sh.first;
-        listShardCount = sh.second;
-      }
-      const std::vector<ListedCell> cells = listBenchCells(names, cli);
-      JsonlWriter out(std::cout);
-      for (const ListedCell& c : cells) {
-        if (c.index % listShardCount != listShardIndex) continue;
-        out.record({{"sweep", c.sweep},
-                    {"invocation", std::to_string(c.invocation)},
-                    {"index", std::to_string(c.index)},
-                    {"graph", c.key.graph},
-                    {"k", std::to_string(c.key.k)},
-                    {"placement", c.key.placement},
-                    {"sched", c.key.scheduler},
-                    {"algo", c.key.algorithm},
-                    {"faults", c.key.faults}});
-      }
-      return 0;
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
       return 2;
     }
   }
@@ -239,7 +165,7 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
   }
 
   // --shard=I/N: deterministic cell-index partition (merge the JSONL
-  // outputs with disp_fleet merge).
+  // outputs with disp_bench merge).
   if (cli.has("shard")) {
     try {
       const auto sh = parseShardFlag(cli.str("shard", ""));
@@ -260,15 +186,9 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
     }
   }
 
-  // Empty-shard detection: every BatchRunner invocation adds the cells
-  // this shard owns; zero at the end means the JSONL output is validly
-  // empty (kEmptyShardExitCode, distinct from a crash).
-  std::atomic<std::uint64_t> ownedCells{0};
-  ctx.batch.ownedCells = &ownedCells;
-
   // --stream-cells: mirror every finished cell as one generic row the
   // moment its replicates land (completion order; the sink flushes per
-  // line), so a SIGKILL'd worker keeps its finished cells durable.  Suites
+  // line), so a SIGKILL'd shard keeps its finished cells durable.  Suites
   // with richer custom streams (table1_scale, scale_real) override this
   // hook on their own BatchOptions copy.
   std::string currentSweep;
@@ -383,11 +303,6 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
       std::cerr << "error: writing --trajectory file failed: " << trajPath << "\n";
       return 1;
     }
-  }
-  if (cli.has("shard") && ownedCells.load() == 0) {
-    std::cerr << "note: --shard=" << cli.str("shard", "")
-              << " owns zero cells of the selected sweeps (valid, just empty)\n";
-    return kEmptyShardExitCode;
   }
   return 0;
 }

@@ -28,20 +28,14 @@
 //                    FaultSpec strings ('none;crash:rate=0.25,restart=64')
 //   --shard=I/N      run only cells with index ≡ I (mod N) of each suite's
 //                    deterministic enumeration; merge the JSONL shard
-//                    outputs with `disp_fleet merge --dup=error` (or let
-//                    the disp_fleet coordinator drive shards + merge).
+//                    outputs with `disp_bench merge` (exp/merge.hpp).
 //                    Canonical form only: decimal I and N, no leading
-//                    zeros, 0 <= I < N <= 4096.  A shard owning zero cells
-//                    exits with kEmptyShardExitCode so a coordinator can
-//                    tell "empty" from "crashed"
+//                    zeros, 0 <= I < N <= 4096
 //   --stream-cells   with --jsonl: mirror every finished cell as one
 //                    {"table": "cell", ...} row the moment its replicates
 //                    land, so a killed run keeps its completed cells
 //                    durable (suites with their own cell streams —
 //                    table1_scale, scale_real — keep their richer rows)
-//   --list-cells     print each selected suite's cell enumeration as JSON
-//                    lines (respecting --shard and the axis overrides) and
-//                    exit without simulating anything
 
 #include <cstdint>
 #include <string>
@@ -61,44 +55,20 @@ struct BenchDef {
   /// multi-minute campaigns like scale_real).
   bool heavy = false;
   /// True when every cell the suite runs goes through BatchRunner's
-  /// canonical enumeration, so --shard partitions it disjointly and
-  /// --list-cells can enumerate it without simulating.  Hand-rolled loops
-  /// (the fig suites, wallclock) are not shardable: every shard would
-  /// rerun them whole, and runBenches rejects the combination.
+  /// canonical enumeration, so --shard partitions it disjointly.
+  /// Hand-rolled loops (the fig suites) are not shardable: every shard
+  /// would rerun them whole, and runBenches rejects the combination.
   bool shardable = true;
 };
 
 [[nodiscard]] const std::vector<BenchDef>& benchRegistry();
 [[nodiscard]] const BenchDef* findBench(const std::string& name);
 
-/// Exit code for a run whose --shard owns zero cells of every selected
-/// suite (a high shard index against a small enumeration): the JSONL file
-/// is validly empty, which a coordinator must not confuse with a crash.
-inline constexpr int kEmptyShardExitCode = 3;
-
 /// Strict --shard=I/N parse: "I/N" with decimal digits only, no leading
 /// zeros ("0" itself is fine), I < N <= 4096.  Returns {index, count};
 /// throws std::invalid_argument naming --shard on any other form
 /// ("01/4", "1/4/2", "1/", "I/0", spaces, signs).
 [[nodiscard]] std::pair<unsigned, unsigned> parseShardFlag(const std::string& value);
-
-/// One cell of a suite's canonical enumeration (listBenchCells /
-/// disp_bench --list-cells).
-struct ListedCell {
-  std::string sweep;        ///< registry name
-  std::size_t invocation;   ///< which BatchRunner::run call within the sweep
-  std::size_t index;        ///< canonical cell index within that invocation
-  CellKey key;
-};
-
-/// Enumerates every cell the named suites would run — axis overrides from
-/// `cli` applied, nothing simulated, markdown discarded.  Returns ALL
-/// cells (shard ownership of cell `index` under I/N is index % N == I;
-/// any --shard flag in `cli` is ignored here so coordinators see the full
-/// enumeration).  Throws std::invalid_argument on unknown or
-/// non-shardable suites and on malformed override flags.
-[[nodiscard]] std::vector<ListedCell> listBenchCells(
-    const std::vector<std::string>& names, const Cli& cli);
 
 /// Runs the named suites with options from `cli`; returns a process exit
 /// code (diagnostics on stderr).

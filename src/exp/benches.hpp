@@ -29,11 +29,10 @@ void benchFig5SyncProbe(BenchContext& ctx);       // E8
 void benchFig7AsyncProbe(BenchContext& ctx);      // E9
 void benchFig6GuestSeeOff(BenchContext& ctx);     // E10
 
-// Ablations, lower bound, wall-clock telemetry (benches_misc.cpp).
+// Ablations and the lower bound (benches_misc.cpp).
 void benchLowerBoundLine(BenchContext& ctx);      // E11
 void benchAblationTechniques(BenchContext& ctx);  // E12
 void benchAblationScheduler(BenchContext& ctx);   // E13
-void benchWallclock(BenchContext& ctx);           // E14
 
 // Tiny observed cells exercising the trace/observer API end to end; the
 // CI trace-smoke gate runs it under --trace (benches_misc.cpp).

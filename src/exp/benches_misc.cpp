@@ -1,15 +1,12 @@
-// Lower-bound anchor, ablations, and wall-clock telemetry (E11–E14).
+// Lower-bound anchor, ablations, trace smoke and ad-hoc scenarios
+// (E11–E13, E16, E17).
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 
 #include "algo/placement.hpp"
 #include "algo/registry.hpp"
 #include "core/scheduler.hpp"
 #include "exp/benches.hpp"
 #include "graph/spec.hpp"
-#include "util/check.hpp"
-#include "util/mem.hpp"
 
 namespace disp::exp {
 
@@ -123,79 +120,6 @@ void benchAblationScheduler(BenchContext& ctx) {
     }
   }
   emitTable(ctx, name, "epoch robustness across schedulers", t);
-}
-
-// E14 — wall-clock telemetry: how fast the *simulator* itself runs each
-// algorithm (ms per full dispersion run, plus activations/sec and
-// moves/sec derived from the run counters so hot-path speedups read as
-// throughput).  This is engineering data, not a paper claim — the paper's
-// "time" is rounds/epochs, measured by E1–E4.  Each configuration repeats
-// until 100ms of wall time has accumulated.
-void benchWallclock(BenchContext& ctx) {
-  const std::string name = "wallclock";
-  ctx.out << "# E14: wall-clock — simulator throughput (telemetry, not a claim)\n";
-  struct Config {
-    const char* algo;
-    const char* sched;
-    std::uint32_t k;
-    std::uint32_t clusters;
-  };
-  const std::vector<Config> configs{
-      {"rooted_sync", "round_robin", 64, 1},
-      {"rooted_sync", "round_robin", 128, 1},
-      {"rooted_sync", "round_robin", 256, 1},
-      {"rooted_async", "uniform", 64, 1},
-      {"rooted_async", "uniform", 128, 1},
-      {"ks_sync", "round_robin", 64, 1},
-      {"ks_sync", "round_robin", 128, 1},
-      {"ks_sync", "round_robin", 256, 1},
-      {"general_sync", "round_robin", 64, 4},
-      {"general_sync", "round_robin", 128, 4},
-  };
-  Table t({"algo", "sched", "k", "l", "runs", "total_ms", "ms/run", "Mact/s",
-           "Mmoves/s", "peak_rss_mb"});
-  for (const Config& cfg : configs) {
-    // Per-config peak RSS (telemetry like ms): watermark reset before the
-    // graph build so the row covers everything the config touches.
-    (void)disp::resetPeakRss();
-    const Graph g = makeGraph("er", 2 * cfg.k, 7);
-    const auto start = std::chrono::steady_clock::now();
-    std::uint64_t runs = 0;
-    std::uint64_t activations = 0;
-    std::uint64_t moves = 0;
-    double elapsedMs = 0.0;
-    do {
-      const Placement p = PlacementSpec::parse(clustersPlacement(cfg.clusters))
-                              .place(g, cfg.k, 3);
-      RunOptions opts;
-      opts.algorithm = cfg.algo;
-      opts.scheduler = cfg.sched;
-      opts.seed = 5;
-      const RunResult r = runSession(g, p, opts);
-      DISP_CHECK(r.dispersed, "wallclock config failed to disperse");
-      ++runs;
-      activations += r.activations;
-      moves += r.totalMoves;
-      elapsedMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    } while (elapsedMs < 100.0 || runs < 3);
-    // Throughput in millions per second: CCM cycles simulated (SYNC counts
-    // k per round by definition) and edge traversals applied.
-    const double seconds = elapsedMs / 1000.0;
-    t.row()
-        .cell(algorithmDisplayName(cfg.algo))
-        .cell(cfg.sched)
-        .cell(std::uint64_t{cfg.k})
-        .cell(std::uint64_t{cfg.clusters})
-        .cell(runs)
-        .cell(elapsedMs, 1)
-        .cell(elapsedMs / double(runs), 3)
-        .cell(double(activations) / seconds / 1e6, 2)
-        .cell(double(moves) / seconds / 1e6, 2)
-        .cell(disp::peakRssMb(), 1);
-  }
-  emitTable(ctx, name, "simulator wall-clock per dispersion run", t);
 }
 
 // E16 — trace smoke: tiny cells covering both engines, the rooted and the

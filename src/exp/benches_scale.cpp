@@ -134,27 +134,25 @@ void benchScaleReal(BenchContext& ctx) {
                      " (dataset not materialized; run scripts/make_scale_data.sh)");
         continue;
       }
-      if (!ctx.enumerateOnly) {
-        // Ingest demonstration: time the streaming load on its own, with
-        // the RSS watermark reset so the row isolates the loader's
-        // footprint (two passes over the file, id map + mapped pairs
-        // transient, CSR emitted directly).  BatchRunner reloads below for
-        // the cells.
-        (void)disp::resetPeakRss();
-        const auto t0 = std::chrono::steady_clock::now();
-        const Graph g = loadAnyGraph(path);
-        const double loadMs = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
-        Table ingest({"file", "n", "m", "load_ms", "peak_rss_mb"});
-        ingest.row()
-            .cell(path)
-            .cell(std::uint64_t{g.nodeCount()})
-            .cell(g.edgeCount())
-            .cell(loadMs, 1)
-            .cell(disp::peakRssMb(), 1);
-        emitTable(ctx, name, "ingest: " + path, ingest);
-      }
+      // Ingest demonstration: time the streaming load on its own, with
+      // the RSS watermark reset so the row isolates the loader's
+      // footprint (two passes over the file, id map + mapped pairs
+      // transient, CSR emitted directly).  BatchRunner reloads below for
+      // the cells.
+      (void)disp::resetPeakRss();
+      const auto t0 = std::chrono::steady_clock::now();
+      const Graph g = loadAnyGraph(path);
+      const double loadMs = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+      Table ingest({"file", "n", "m", "load_ms", "peak_rss_mb"});
+      ingest.row()
+          .cell(path)
+          .cell(std::uint64_t{g.nodeCount()})
+          .cell(g.edgeCount())
+          .cell(loadMs, 1)
+          .cell(disp::peakRssMb(), 1);
+      emitTable(ctx, name, "ingest: " + path, ingest);
     }
 
     SweepSpec spec;

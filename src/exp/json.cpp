@@ -1,10 +1,10 @@
-#include "fleet/json.hpp"
+#include "exp/json.hpp"
 
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
-namespace disp::fleet {
+namespace disp::exp {
 
 namespace {
 
@@ -13,9 +13,31 @@ namespace {
                            ": " + why);
 }
 
-struct Parser {
+void appendNumber(std::string& out, double d) {
+  // Integers serialize exactly; anything else in the shortest form that
+  // re-parses to the same double.
+  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
+    out += buf;
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  out += buf;
+}
+
+}  // namespace
+
+struct JsonParser {
   std::string_view text;
   std::size_t pos = 0;
+
+  static JsonValue make(JsonValue::Kind kind) {
+    JsonValue v;
+    v.kind_ = kind;
+    return v;
+  }
 
   void skipWs() {
     while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' ||
@@ -133,7 +155,9 @@ struct Parser {
       while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
     }
     const std::string token(text.substr(start, pos - start));
-    return JsonValue::number(std::strtod(token.c_str(), nullptr));
+    JsonValue v = make(JsonValue::Kind::Number);
+    v.number_ = std::strtod(token.c_str(), nullptr);
+    return v;
   }
 
   JsonValue parseValue(int depth) {
@@ -142,7 +166,7 @@ struct Parser {
     const char c = peek();
     if (c == '{') {
       ++pos;
-      JsonValue obj = JsonValue::object();
+      JsonValue obj = make(JsonValue::Kind::Object);
       skipWs();
       if (consume('}')) return obj;
       while (true) {
@@ -150,7 +174,17 @@ struct Parser {
         std::string key = parseString();
         skipWs();
         expect(':');
-        obj.set(std::move(key), parseValue(depth + 1));
+        JsonValue value = parseValue(depth + 1);
+        // A repeated key keeps its first position and takes the last value.
+        bool replaced = false;
+        for (auto& [k, old] : obj.members_) {
+          if (k == key) {
+            old = std::move(value);
+            replaced = true;
+            break;
+          }
+        }
+        if (!replaced) obj.members_.emplace_back(std::move(key), std::move(value));
         skipWs();
         if (consume(',')) continue;
         expect('}');
@@ -159,40 +193,32 @@ struct Parser {
     }
     if (c == '[') {
       ++pos;
-      JsonValue arr = JsonValue::array();
+      JsonValue arr = make(JsonValue::Kind::Array);
       skipWs();
       if (consume(']')) return arr;
       while (true) {
-        arr.push(parseValue(depth + 1));
+        arr.items_.push_back(parseValue(depth + 1));
         skipWs();
         if (consume(',')) continue;
         expect(']');
         return arr;
       }
     }
-    if (c == '"') return JsonValue::string(parseString());
-    if (consumeWord("true")) return JsonValue::boolean(true);
-    if (consumeWord("false")) return JsonValue::boolean(false);
+    if (c == '"') {
+      JsonValue v = make(JsonValue::Kind::String);
+      v.string_ = parseString();
+      return v;
+    }
+    if (consumeWord("true") || consumeWord("false")) {
+      JsonValue v = make(JsonValue::Kind::Bool);
+      v.bool_ = c == 't';
+      return v;
+    }
     if (consumeWord("null")) return JsonValue();
     if (c == '-' || (c >= '0' && c <= '9')) return parseNumber();
     parseFail(pos, std::string("unexpected character '") + c + "'");
   }
 };
-
-void appendNumber(std::string& out, double d) {
-  // Integers (the only numbers the fleet writes) serialize exactly.
-  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
-    out += buf;
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out += buf;
-}
-
-}  // namespace
 
 std::string jsonQuote(std::string_view s) {
   std::string out;
@@ -203,7 +229,6 @@ std::string jsonQuote(std::string_view s) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
@@ -219,70 +244,9 @@ std::string jsonQuote(std::string_view s) {
   return out;
 }
 
-JsonValue JsonValue::boolean(bool b) {
-  JsonValue v;
-  v.kind_ = Kind::Bool;
-  v.bool_ = b;
-  return v;
-}
-
-JsonValue JsonValue::number(double d) {
-  JsonValue v;
-  v.kind_ = Kind::Number;
-  v.number_ = d;
-  return v;
-}
-
-JsonValue JsonValue::string(std::string s) {
-  JsonValue v;
-  v.kind_ = Kind::String;
-  v.string_ = std::move(s);
-  return v;
-}
-
-JsonValue JsonValue::array() {
-  JsonValue v;
-  v.kind_ = Kind::Array;
-  return v;
-}
-
-JsonValue JsonValue::object() {
-  JsonValue v;
-  v.kind_ = Kind::Object;
-  return v;
-}
-
-bool JsonValue::asBool() const {
-  if (kind_ != Kind::Bool) throw std::runtime_error("JSON value is not a bool");
-  return bool_;
-}
-
-double JsonValue::asNumber() const {
-  if (kind_ != Kind::Number) throw std::runtime_error("JSON value is not a number");
-  return number_;
-}
-
-std::uint64_t JsonValue::asU64() const {
-  const double d = asNumber();
-  if (d < 0 || d != std::floor(d) || d > 9.007199254740992e15) {
-    throw std::runtime_error("JSON number is not an unsigned integer");
-  }
-  return static_cast<std::uint64_t>(d);
-}
-
 const std::string& JsonValue::asString() const {
   if (kind_ != Kind::String) throw std::runtime_error("JSON value is not a string");
   return string_;
-}
-
-const std::vector<JsonValue>& JsonValue::items() const {
-  if (kind_ != Kind::Array) throw std::runtime_error("JSON value is not an array");
-  return items_;
-}
-
-std::vector<JsonValue>& JsonValue::items() {
-  if (kind_ != Kind::Array) throw std::runtime_error("JSON value is not an array");
-  return items_;
 }
 
 const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members() const {
@@ -298,30 +262,7 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-void JsonValue::set(std::string key, JsonValue value) {
-  if (kind_ == Kind::Null) kind_ = Kind::Object;
-  if (kind_ != Kind::Object) throw std::runtime_error("JSON value is not an object");
-  for (auto& [k, v] : members_) {
-    if (k == key) {
-      v = std::move(value);
-      return;
-    }
-  }
-  members_.emplace_back(std::move(key), std::move(value));
-}
-
-void JsonValue::push(JsonValue value) {
-  if (kind_ == Kind::Null) kind_ = Kind::Array;
-  if (kind_ != Kind::Array) throw std::runtime_error("JSON value is not an array");
-  items_.push_back(std::move(value));
-}
-
-void JsonValue::dumpTo(std::string& out, int indent, int depth) const {
-  const auto newline = [&](int level) {
-    if (indent <= 0) return;
-    out += '\n';
-    out.append(static_cast<std::size_t>(indent * level), ' ');
-  };
+void JsonValue::dumpTo(std::string& out) const {
   switch (kind_) {
     case Kind::Null:
       out += "null";
@@ -335,49 +276,35 @@ void JsonValue::dumpTo(std::string& out, int indent, int depth) const {
     case Kind::String:
       out += jsonQuote(string_);
       return;
-    case Kind::Array: {
-      if (items_.empty()) {
-        out += "[]";
-        return;
-      }
+    case Kind::Array:
       out += '[';
       for (std::size_t i = 0; i < items_.size(); ++i) {
-        if (i > 0) out += indent > 0 ? "," : ", ";
-        newline(depth + 1);
-        items_[i].dumpTo(out, indent, depth + 1);
+        if (i > 0) out += ", ";
+        items_[i].dumpTo(out);
       }
-      newline(depth);
       out += ']';
       return;
-    }
-    case Kind::Object: {
-      if (members_.empty()) {
-        out += "{}";
-        return;
-      }
+    case Kind::Object:
       out += '{';
       for (std::size_t i = 0; i < members_.size(); ++i) {
-        if (i > 0) out += indent > 0 ? "," : ", ";
-        newline(depth + 1);
+        if (i > 0) out += ", ";
         out += jsonQuote(members_[i].first);
         out += ": ";
-        members_[i].second.dumpTo(out, indent, depth + 1);
+        members_[i].second.dumpTo(out);
       }
-      newline(depth);
       out += '}';
       return;
-    }
   }
 }
 
-std::string JsonValue::dump(int indent) const {
+std::string JsonValue::dump() const {
   std::string out;
-  dumpTo(out, indent, 0);
+  dumpTo(out);
   return out;
 }
 
 JsonValue JsonValue::parse(std::string_view text) {
-  Parser p{text};
+  JsonParser p{text};
   JsonValue v = p.parseValue(0);
   p.skipWs();
   if (p.pos != text.size()) {
@@ -386,4 +313,4 @@ JsonValue JsonValue::parse(std::string_view text) {
   return v;
 }
 
-}  // namespace disp::fleet
+}  // namespace disp::exp

@@ -1,19 +1,20 @@
-#include "fleet/collector.hpp"
+#include "exp/merge.hpp"
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <map>
-#include <set>
+#include <stdexcept>
 #include <utility>
 
-#include "fleet/json.hpp"
+#include "exp/json.hpp"
 
-namespace disp::fleet {
+namespace disp::exp {
 
 namespace {
 
 const char* const kTelemetry[] = {
-    "ms", "Mact/s", "Mmoves/s", "load_ms", "peak_rss_mb", "rss_lb_mb", "rss_ratio",
+    "load_ms", "peak_rss_mb", "rss_lb_mb", "rss_ratio",
 };
 
 const char* const kCoordinates[] = {
@@ -21,11 +22,9 @@ const char* const kCoordinates[] = {
     "l",     "placement", "sched", "algo", "faults", "seed",
 };
 
-bool isCoordinateColumn(const std::string& column) {
-  for (const char* c : kCoordinates) {
-    if (column == c) return true;
-  }
-  return false;
+template <std::size_t N>
+bool oneOf(const char* const (&columns)[N], const std::string& column) {
+  return std::find(std::begin(columns), std::end(columns), column) != std::end(columns);
 }
 
 struct ParsedRow {
@@ -33,7 +32,6 @@ struct ParsedRow {
   std::vector<std::pair<std::string, std::string>> coords;
   /// Non-telemetry columns, sorted by key — the fact comparison payload.
   std::vector<std::pair<std::string, std::string>> facts;
-  bool isCellRow = false;
 };
 
 /// Flattens a JSONL row into coordinate + fact views.  Values are the
@@ -43,9 +41,8 @@ ParsedRow flatten(const JsonValue& row) {
   ParsedRow out;
   for (const auto& [key, value] : row.members()) {
     const std::string rendered = value.isString() ? value.asString() : value.dump();
-    if (key == "table" && rendered == "cell") out.isCellRow = true;
-    if (isCoordinateColumn(key)) out.coords.emplace_back(key, rendered);
-    if (!isTelemetryColumn(key)) out.facts.emplace_back(key, rendered);
+    if (oneOf(kCoordinates, key)) out.coords.emplace_back(key, rendered);
+    if (!oneOf(kTelemetry, key)) out.facts.emplace_back(key, rendered);
   }
   std::sort(out.coords.begin(), out.coords.end());
   std::sort(out.facts.begin(), out.facts.end());
@@ -64,12 +61,10 @@ std::string joinPairs(const std::vector<std::pair<std::string, std::string>>& kv
 /// Canonical identity: the coordinate columns when the row has any beyond
 /// sweep/table; the whole fact payload otherwise (fit/note diagnostics).
 std::string identityOf(const ParsedRow& row) {
-  bool specific = false;
   for (const auto& [k, v] : row.coords) {
     (void)v;
-    if (k != "sweep" && k != "table") specific = true;
+    if (k != "sweep" && k != "table") return joinPairs(row.coords);
   }
-  if (specific) return joinPairs(row.coords);
   return joinPairs(row.facts);
 }
 
@@ -80,53 +75,39 @@ struct Keeper {
 
 }  // namespace
 
-bool isTelemetryColumn(const std::string& column) {
-  for (const char* t : kTelemetry) {
-    if (column == t) return true;
-  }
-  return false;
-}
-
-MergeResult mergeJsonl(const std::vector<MergeInput>& inputs, DupPolicy policy,
+MergeResult mergeJsonl(const std::vector<std::string>& paths,
                        const std::string& outPath) {
   MergeResult res;
   std::map<std::string, Keeper> seen;
   std::vector<std::string> kept;  // original line text, input order
 
-  for (const MergeInput& input : inputs) {
-    std::ifstream in(input.path);
+  for (const std::string& path : paths) {
+    std::ifstream in(path);
     if (!in) {
-      res.errors.push_back(input.path + ": cannot open");
+      res.errors.push_back(path + ": cannot open");
       continue;
     }
-    std::vector<std::string> lines;
     std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (lines[i].empty()) continue;
-      const std::string where = input.path + ":" + std::to_string(i + 1);
+    for (std::size_t lineNo = 1; std::getline(in, line); ++lineNo) {
+      if (line.empty()) continue;
+      const std::string where = path + ":" + std::to_string(lineNo);
       JsonValue row;
       try {
-        row = JsonValue::parse(lines[i]);
+        row = JsonValue::parse(line);
         if (!row.isObject()) throw std::runtime_error("row is not a JSON object");
       } catch (const std::exception& e) {
-        if (input.allowPartialTail && i + 1 == lines.size()) {
-          ++res.partialTails;  // SIGKILL mid-write: drop the torn tail
-          continue;
-        }
         res.errors.push_back(where + ": not JSON (" + e.what() + ")");
         continue;
       }
-      ++res.rowsIn;
       ParsedRow parsed = flatten(row);
       const std::string id = identityOf(parsed);
       const auto it = seen.find(id);
       if (it == seen.end()) {
         seen.emplace(id, Keeper{std::move(parsed), where});
-        kept.push_back(lines[i]);
+        kept.push_back(line);
         continue;
       }
-      // Duplicate identity: facts must agree column for column.
+      // Repeated identity: a divergence if any fact differs, else an overlap.
       const auto& a = it->second.row.facts;
       const auto& b = parsed.facts;
       std::string diffCol, valA, valB;
@@ -153,12 +134,8 @@ MergeResult mergeJsonl(const std::vector<MergeInput>& inputs, DupPolicy policy,
             {id, diffCol, valA, valB, it->second.where, where});
         continue;
       }
-      if (policy == DupPolicy::Error) {
-        res.errors.push_back(where + ": duplicate row (also in " +
-                             it->second.where + ") — overlapping shards?");
-        continue;
-      }
-      ++res.dupsDropped;
+      res.errors.push_back(where + ": duplicate row (also in " +
+                           it->second.where + ") — overlapping shards?");
     }
   }
 
@@ -181,25 +158,4 @@ MergeResult mergeJsonl(const std::vector<MergeInput>& inputs, DupPolicy policy,
   return res;
 }
 
-std::uint64_t countDistinctCellRows(const std::vector<std::string>& paths) {
-  std::set<std::string> identities;
-  for (const std::string& path : paths) {
-    std::ifstream in(path);
-    if (!in) continue;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      try {
-        const JsonValue row = JsonValue::parse(line);
-        if (!row.isObject()) continue;
-        const ParsedRow parsed = flatten(row);
-        if (parsed.isCellRow) identities.insert(identityOf(parsed));
-      } catch (const std::exception&) {
-        continue;  // torn tail of a killed attempt
-      }
-    }
-  }
-  return identities.size();
-}
-
-}  // namespace disp::fleet
+}  // namespace disp::exp

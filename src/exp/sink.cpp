@@ -1,34 +1,10 @@
 #include "exp/sink.hpp"
 
-#include <cstdio>
 #include <ostream>
 
+#include "exp/json.hpp"
+
 namespace disp::exp {
-
-namespace {
-
-void appendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
 
 void JsonlWriter::record(
     const std::vector<std::pair<std::string, std::string>>& fields) {
@@ -37,9 +13,9 @@ void JsonlWriter::record(
   for (const auto& [key, value] : fields) {
     if (!first) line += ", ";
     first = false;
-    appendJsonString(line, key);
+    line += jsonQuote(key);
     line += ": ";
-    appendJsonString(line, value);
+    line += jsonQuote(value);
   }
   line += "}";
   // Flush per row: a killed large-k sweep keeps every row written so far

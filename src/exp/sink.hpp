@@ -50,11 +50,6 @@ struct BenchContext {
   std::vector<std::uint32_t> kOverride{};
   /// When non-empty, replaces a sweep's fault axis (FaultSpec strings).
   std::vector<std::string> faultsOverride{};
-  /// Cell-listing mode (disp_bench --list-cells / listBenchCells): bench
-  /// bodies must skip work outside BatchRunner — BatchRunner itself returns
-  /// after enumeration when BatchOptions::onCellListed is set, but e.g.
-  /// scale_real's standalone ingest-timing block must consult this flag.
-  bool enumerateOnly = false;
 
   [[nodiscard]] std::vector<std::uint64_t> seedsOr(std::uint64_t fallback) const {
     return seedOverride.empty() ? std::vector<std::uint64_t>{fallback} : seedOverride;

@@ -21,10 +21,6 @@ std::vector<std::uint32_t> kSweep(std::uint32_t lo, std::uint32_t hi) {
   return ks;
 }
 
-std::string clustersPlacement(std::uint32_t clusters) {
-  return clusters == 1 ? "rooted" : "clusters:l=" + std::to_string(clusters);
-}
-
 RunRecord runCell(const CaseSpec& c) {
   const auto n = static_cast<std::uint32_t>(double(c.k) * c.nOverK);
   const Graph g = GraphSpec::parse(c.graph).instantiate(n, c.seed, c.labeling);

@@ -50,10 +50,6 @@ namespace disp::exp {
 [[nodiscard]] std::vector<std::uint32_t> kSweep(std::uint32_t lo = 5,
                                                 std::uint32_t hi = 9);
 
-/// Legacy placement alias: the historical cluster-count knob as a
-/// PlacementSpec string (1 = "rooted", ℓ > 1 = "clusters:l=ℓ").
-[[nodiscard]] std::string clustersPlacement(std::uint32_t clusters);
-
 /// One simulation point: every input runSession needs, from one seed.
 struct CaseSpec {
   std::string graph = "er";  ///< GraphSpec string (graph/spec.hpp)

@@ -31,14 +31,11 @@ class Cli {
   /// Throws std::invalid_argument on non-numeric elements.
   [[nodiscard]] std::vector<std::uint64_t> u64list(const std::string& key) const;
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
-  [[nodiscard]] const std::string& program() const { return program_; }
-  /// All parsed flags in sorted key order (bare flags map to "").  Lets a
-  /// wrapper (disp_fleet) forward unrecognized flags verbatim and
-  /// deterministically.
+  /// All parsed flags in sorted key order (bare flags map to "1").  Lets a
+  /// caller reject flags it does not read.
   [[nodiscard]] const std::map<std::string, std::string>& flags() const { return flags_; }
 
  private:
-  std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };

@@ -95,7 +95,6 @@ Scope classify(const std::string& relPath, const std::string& assume) {
   Scope s;
   s.factPath = relPath.rfind("src/core/", 0) == 0 || relPath.rfind("src/algo/", 0) == 0;
   s.telemetryExempt = relPath.rfind("src/exp/", 0) == 0 ||
-                      relPath.rfind("src/fleet/", 0) == 0 ||
                       relPath.rfind("src/util/mem.", 0) == 0 ||
                       relPath.rfind("bench/", 0) == 0;
   return s;

@@ -229,7 +229,7 @@ void ruleWallclockEntropy(const FileInput& in, std::vector<Finding>& out) {
     report(in, out, ts.line(i), "DL002",
            "nondeterministic wall-clock/entropy source '" + ts.text(i) +
                "' — facts must be reproducible from the seed (telemetry "
-               "belongs in src/exp/, src/fleet/, bench/ or util/mem)");
+               "belongs in src/exp/, bench/ or util/mem)");
   };
 
   for (std::size_t i = 0; i < ts.size(); ++i) {
@@ -704,7 +704,7 @@ const std::vector<RuleInfo>& ruleCatalog() {
        "justification; iteration is forbidden"},
       {"DL002", "wallclock-entropy",
        "rand()/std::random_device/<clock>::now()/time() outside the telemetry-"
-       "exempt paths (src/exp/, src/fleet/, bench/, util/mem)"},
+       "exempt paths (src/exp/, bench/, util/mem)"},
       {"DL003", "pointer-order",
        "sorting, comparing, hashing or keying on pointer values — address order "
        "is nondeterministic"},

@@ -9,7 +9,7 @@
 // Scope model: every scanned file carries a Scope describing which rule
 // families apply.
 //   * fact paths (src/core/, src/algo/)   — DL001/DL003/DL005 enforced
-//   * telemetry-exempt (src/exp/, src/fleet/, src/util/mem.*) — DL002 waived
+//   * telemetry-exempt (src/exp/, bench/, src/util/mem.*) — DL002 waived
 //   * everything scanned                  — DL002 (unless exempt), DL004
 // Suppressions (`// displint: allow(RULE) — justification`, lexer.hpp)
 // silence a finding on their line (trailing) or the next code line
@@ -25,7 +25,7 @@ namespace displint {
 
 struct Scope {
   bool factPath = false;         ///< src/core/ or src/algo/
-  bool telemetryExempt = false;  ///< src/exp/, src/fleet/ or src/util/mem.*
+  bool telemetryExempt = false;  ///< src/exp/, bench/ or src/util/mem.*
 };
 
 struct FileInput {
