@@ -491,6 +491,18 @@ TEST(RunBenches, RejectsUnknownFlagsBeforeAnySweepRuns) {
   }
 }
 
+// A shard's streamed cell rows are its mergeable output, so --stream-cells
+// with nowhere to stream must refuse to start rather than run the sweep
+// and leave nothing to merge.
+TEST(RunBenches, StreamCellsWithoutJsonlIsAUsageError) {
+  const BenchRun r = runBenchesWith(
+      {"scenario"}, {"--graphs=path", "--placements=rooted", "--ks=4", "--seeds=1",
+                     "--shard=0/2", "--stream-cells"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_EQ(r.out, "");
+  EXPECT_NE(r.err.find("--stream-cells wants --jsonl=PATH"), std::string::npos) << r.err;
+}
+
 TEST(RunBenches, AcceptsEveryDocumentedFlag) {
   // --trace and --trajectory are mutually exclusive, so one run each.
   const std::string jsonl = processTempPath("run_benches_flags", ".jsonl");

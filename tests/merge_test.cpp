@@ -1,9 +1,10 @@
 // Tests for sharded sweeps and their audited merge: the JSON reader, the
 // --shard parse, the merge rules of exp/merge.hpp, and — when the bench
 // binary is built (DISP_BENCH_BIN) — subprocess end-to-end runs: shards
-// of a sweep must merge to the unsharded reference, a torn shard file must
-// be refused until that shard is rerun, and `disp_bench merge` must refuse
-// diverging and overlapping shards without writing anything.
+// of a sweep (empty ones included) must merge to the unsharded reference,
+// a torn or missing shard file must be refused until that shard is rerun,
+// and `disp_bench merge` must refuse diverging and overlapping shards
+// without writing anything.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -96,6 +97,97 @@ TEST(Json, RejectsMalformedInputWithOffset) {
     // The diagnostic must carry a byte offset for corrupted-row triage.
     EXPECT_NE(std::string(e.what()).find("at byte"), std::string::npos) << e.what();
   }
+}
+
+/// The what() of the runtime_error parsing `text` throws ("" if none).
+std::string parseError(const std::string& text) {
+  try {
+    (void)JsonValue::parse(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// The JSON escape for code unit `hex` ("00e9" -> backslash u 00e9).
+std::string uEscape(const char* hex) { return std::string("\\") + "u" + hex; }
+
+TEST(Json, DecodesUnicodeEscapesAsUtf8) {
+  // One-, two- and three-byte UTF-8 encodings, plus the escaped solidus.
+  const std::string text =
+      "\"" + uEscape("0041") + uEscape("00e9") + uEscape("20ac") + "\\/\"";
+  EXPECT_EQ(JsonValue::parse(text).asString(), "A\xc3\xa9\xe2\x82\xac/");
+  EXPECT_EQ(JsonValue::parse("\"" + uEscape("00E9") + "\"").asString(),
+            "\xc3\xa9");  // either hex case
+}
+
+TEST(Json, RejectsControlCharactersBadEscapesAndSurrogates) {
+  EXPECT_NE(parseError("\"a\nb\"").find("raw control character"), std::string::npos);
+  EXPECT_NE(parseError(R"("\x")").find("unknown escape"), std::string::npos);
+  EXPECT_NE(parseError(R"("\u12g4")").find("bad hex digit"), std::string::npos);
+  EXPECT_NE(parseError(R"("\u12")").find("truncated"), std::string::npos);
+  // No writer in the repo emits surrogate pairs: refuse rather than mangle.
+  EXPECT_NE(parseError("\"" + uEscape("d83d") + uEscape("de00") + "\"").find("surrogate"),
+            std::string::npos);
+  EXPECT_NE(parseError(R"("abc)").find("unterminated string"), std::string::npos);
+}
+
+TEST(Json, NumbersReparseToTheSameValue) {
+  // Integers print exactly; anything else prints in a form that parses
+  // back to the same double, so dump() is a fixed point.
+  EXPECT_EQ(JsonValue::parse("4096").dump(), "4096");
+  EXPECT_EQ(JsonValue::parse("-3").dump(), "-3");
+  EXPECT_EQ(JsonValue::parse("1e3").dump(), "1000");
+  EXPECT_EQ(JsonValue::parse("2.5").dump(), "2.5");
+  for (const char* text : {"0", "-0.125", "1E-2", "0.1", "3.141592653589793",
+                           "123456789012345678", "-7.5e-300"}) {
+    const std::string once = JsonValue::parse(text).dump();
+    EXPECT_EQ(std::strtod(once.c_str(), nullptr), std::strtod(text, nullptr)) << text;
+    EXPECT_EQ(JsonValue::parse(once).dump(), once) << text;
+  }
+  for (const char* bad : {"-", "1.", "1e", "1e+", ".5", "+1"}) {
+    EXPECT_THROW((void)JsonValue::parse(bad), std::runtime_error) << bad;
+  }
+}
+
+TEST(Json, RepeatedKeyKeepsFirstPositionAndLastValue) {
+  const JsonValue v = JsonValue::parse(R"({"a": "1", "b": "2", "a": "3"})");
+  ASSERT_EQ(v.members().size(), 2u);
+  EXPECT_EQ(v.find("a")->asString(), "3");
+  EXPECT_EQ(v.dump(), R"({"a": "3", "b": "2"})");
+}
+
+TEST(Json, QuoteRoundTripsEveryControlCharacter) {
+  EXPECT_EQ(jsonQuote("a\"b\\c\nd\te"), R"("a\"b\\c\nd\te")");
+  EXPECT_EQ(jsonQuote("\r"), R"("\u000d")");
+  std::string every;
+  for (int c = 0; c < 0x20; ++c) every += static_cast<char>(c);
+  every += "\"\\/x\xc3\xa9";
+  const std::string quoted = jsonQuote(every);
+  for (const char c : quoted) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << "raw control byte in " << quoted;
+  }
+  EXPECT_EQ(JsonValue::parse(quoted).asString(), every);
+}
+
+TEST(Json, RejectsNestingDeeperThan64) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(JsonValue::parse(nested(65)).dump(), nested(65));
+  EXPECT_NE(parseError(nested(66)).find("nesting too deep"), std::string::npos);
+}
+
+TEST(Json, AccessorsRejectTheWrongKind) {
+  const JsonValue number = JsonValue::parse("4");
+  const JsonValue array = JsonValue::parse("[1]");
+  EXPECT_FALSE(number.isString());
+  EXPECT_FALSE(array.isObject());
+  EXPECT_THROW((void)number.asString(), std::runtime_error);
+  EXPECT_THROW((void)array.members(), std::runtime_error);
+  EXPECT_EQ(array.find("a"), nullptr);  // lookup on a non-object finds nothing
+  EXPECT_TRUE(JsonValue::parse(R"("s")").isString());
 }
 
 // ----------------------------------------------------------- shard flag
@@ -213,6 +305,186 @@ TEST(Merge, DiagnosticRowsCompareByFullContent) {
   EXPECT_EQ(res.rowsOut, 2u);
 }
 
+TEST(Merge, EmptyShardFilesMergeToAnEmptyOutput) {
+  const std::string dir = testDir("empty");
+  // A shard that owns no cell streams nothing; blank lines are skipped.
+  writeFile(dir + "/empty.jsonl", "");
+  writeFile(dir + "/blank.jsonl", "\n\n");
+  writeFile(dir + "/s.jsonl", std::string(kRowA) + "\n");
+  const MergeResult none = mergeJsonl({dir + "/empty.jsonl"}, dir + "/none.jsonl");
+  EXPECT_TRUE(none.ok);
+  EXPECT_EQ(none.rowsOut, 0u);
+  ASSERT_TRUE(fs::exists(dir + "/none.jsonl"));
+  EXPECT_EQ(slurp(dir + "/none.jsonl"), "");
+
+  const MergeResult some = mergeJsonl(
+      {dir + "/empty.jsonl", dir + "/s.jsonl", dir + "/blank.jsonl"}, dir + "/out.jsonl");
+  EXPECT_TRUE(some.ok);
+  EXPECT_EQ(some.rowsOut, 1u);
+  EXPECT_EQ(slurp(dir + "/out.jsonl"), std::string(kRowA) + "\n");
+}
+
+TEST(Merge, MissingInputIsAnErrorNamingThePath) {
+  const std::string dir = testDir("missing");
+  writeFile(dir + "/s0.jsonl", std::string(kRowA) + "\n");
+  const MergeResult res =
+      mergeJsonl({dir + "/s0.jsonl", dir + "/s1.jsonl"}, dir + "/out.jsonl");
+  EXPECT_FALSE(res.ok);
+  ASSERT_EQ(res.errors.size(), 1u);
+  EXPECT_EQ(res.errors[0], dir + "/s1.jsonl: cannot open");
+  EXPECT_FALSE(fs::exists(dir + "/out.jsonl"));
+}
+
+TEST(Merge, RefusedMergeLeavesAnExistingOutputUntouched) {
+  const std::string dir = testDir("keep_out");
+  const std::string out = dir + "/out.jsonl";
+  writeFile(out, "previous\n");
+  writeFile(dir + "/a.jsonl", std::string(kRowA) + "\n");
+  const MergeResult refused = mergeJsonl({dir + "/a.jsonl", dir + "/a.jsonl"}, out);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(slurp(out), "previous\n");
+  // A clean merge replaces the old content rather than appending to it.
+  const MergeResult clean = mergeJsonl({dir + "/a.jsonl"}, out);
+  EXPECT_TRUE(clean.ok);
+  EXPECT_EQ(slurp(out), std::string(kRowA) + "\n");
+}
+
+TEST(Merge, NonObjectRowIsAnErrorNamingPathAndLine) {
+  const std::string dir = testDir("non_object");
+  writeFile(dir + "/s.jsonl", std::string(kRowA) + "\n[1, 2]\n\"cell\"\n");
+  const MergeResult res = mergeJsonl({dir + "/s.jsonl"}, dir + "/out.jsonl");
+  EXPECT_FALSE(res.ok);
+  ASSERT_EQ(res.errors.size(), 2u);
+  EXPECT_NE(res.errors[0].find("s.jsonl:2: not JSON (row is not a JSON object)"),
+            std::string::npos)
+      << res.errors[0];
+  EXPECT_NE(res.errors[1].find("s.jsonl:3: not JSON"), std::string::npos) << res.errors[1];
+  EXPECT_FALSE(fs::exists(dir + "/out.jsonl"));
+}
+
+TEST(Merge, OnlyTheFourTelemetryColumnsAreExempt) {
+  const std::string dir = testDir("telemetry_set");
+  const auto row = [](const std::string& column, const std::string& value) {
+    return R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", )" +
+           jsonQuote(column) + ": " + jsonQuote(value) + "}\n";
+  };
+  for (const char* column : {"load_ms", "peak_rss_mb", "rss_lb_mb", "rss_ratio"}) {
+    writeFile(dir + "/a.jsonl", row(column, "1"));
+    writeFile(dir + "/b.jsonl", row(column, "2"));
+    const MergeResult res =
+        mergeJsonl({dir + "/a.jsonl", dir + "/b.jsonl"}, dir + "/out.jsonl");
+    EXPECT_TRUE(res.divergences.empty()) << column;
+    ASSERT_EQ(res.errors.size(), 1u) << column;
+    EXPECT_NE(res.errors[0].find("overlapping shards?"), std::string::npos) << column;
+  }
+  // Timing and throughput columns are facts: no sweep emits them, so a
+  // difference there is a divergence like any other.
+  for (const char* column : {"ms", "Mact/s", "Mmoves/s"}) {
+    writeFile(dir + "/a.jsonl", row(column, "1"));
+    writeFile(dir + "/b.jsonl", row(column, "2"));
+    const MergeResult res =
+        mergeJsonl({dir + "/a.jsonl", dir + "/b.jsonl"}, dir + "/out.jsonl");
+    EXPECT_TRUE(res.errors.empty()) << column;
+    ASSERT_EQ(res.divergences.size(), 1u) << column;
+    EXPECT_EQ(res.divergences[0].column, column);
+  }
+  EXPECT_FALSE(fs::exists(dir + "/out.jsonl"));
+}
+
+TEST(Merge, AbsentFactColumnIsADivergence) {
+  const std::string dir = testDir("absent");
+  const std::string full =
+      R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", "moves": "9", "time": "3"})";
+  const std::string noMoves =
+      R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", "time": "3"})";
+  writeFile(dir + "/full.jsonl", full + "\n");
+  writeFile(dir + "/short.jsonl", noMoves + "\n");
+  const MergeResult lost =
+      mergeJsonl({dir + "/full.jsonl", dir + "/short.jsonl"}, dir + "/out.jsonl");
+  ASSERT_EQ(lost.divergences.size(), 1u);
+  EXPECT_EQ(lost.divergences[0].column, "moves");
+  EXPECT_EQ(lost.divergences[0].valueA, "9");
+  EXPECT_EQ(lost.divergences[0].valueB, "(absent)");
+
+  const MergeResult gained =
+      mergeJsonl({dir + "/short.jsonl", dir + "/full.jsonl"}, dir + "/out.jsonl");
+  ASSERT_EQ(gained.divergences.size(), 1u);
+  EXPECT_EQ(gained.divergences[0].column, "moves");
+  EXPECT_EQ(gained.divergences[0].valueA, "(absent)");
+  EXPECT_EQ(gained.divergences[0].valueB, "9");
+  EXPECT_FALSE(fs::exists(dir + "/out.jsonl"));
+}
+
+TEST(Merge, IdentityIsIndependentOfColumnOrder) {
+  const std::string dir = testDir("order");
+  writeFile(dir + "/a.jsonl",
+            R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", "moves": "9"})"
+            "\n");
+  writeFile(dir + "/b.jsonl",
+            R"({"moves": "9", "k": "4", "graph": "er", "table": "cell", "sweep": "s"})"
+            "\n");
+  writeFile(dir + "/c.jsonl",
+            R"({"moves": "8", "k": "4", "graph": "er", "table": "cell", "sweep": "s"})"
+            "\n");
+  const MergeResult same =
+      mergeJsonl({dir + "/a.jsonl", dir + "/b.jsonl"}, dir + "/out.jsonl");
+  EXPECT_TRUE(same.divergences.empty());
+  ASSERT_EQ(same.errors.size(), 1u);
+  EXPECT_NE(same.errors[0].find("overlapping shards?"), std::string::npos);
+
+  const MergeResult differ =
+      mergeJsonl({dir + "/a.jsonl", dir + "/c.jsonl"}, dir + "/out.jsonl");
+  ASSERT_EQ(differ.divergences.size(), 1u);
+  EXPECT_EQ(differ.divergences[0].column, "moves");
+}
+
+TEST(Merge, EveryCoordinateColumnSeparatesCells) {
+  const std::string dir = testDir("coords");
+  const std::vector<std::string> coordinates{
+      "sweep", "table", "family", "graph", "file",  "k",
+      "l",     "placement", "sched", "algo", "faults", "seed"};
+  const auto row = [&](const std::string& changed) {
+    std::string out = "{";
+    for (const std::string& c : coordinates) {
+      out += jsonQuote(c) + ": " + jsonQuote(c == changed ? c + "-other" : c) + ", ";
+    }
+    out += jsonQuote("n") + ": " + jsonQuote(changed == "n" ? "9" : "8") + "}\n";
+    return out;
+  };
+  writeFile(dir + "/base.jsonl", row(""));
+  for (const std::string& c : coordinates) {
+    writeFile(dir + "/other.jsonl", row(c));
+    const MergeResult res =
+        mergeJsonl({dir + "/base.jsonl", dir + "/other.jsonl"}, dir + "/out.jsonl");
+    EXPECT_TRUE(res.ok) << c;
+    EXPECT_EQ(res.rowsOut, 2u) << c;
+  }
+  // A non-coordinate column is a fact of the same cell, not a new cell.
+  writeFile(dir + "/other.jsonl", row("n"));
+  const MergeResult fact =
+      mergeJsonl({dir + "/base.jsonl", dir + "/other.jsonl"}, dir + "/out.jsonl");
+  ASSERT_EQ(fact.divergences.size(), 1u);
+  EXPECT_EQ(fact.divergences[0].column, "n");
+}
+
+TEST(Merge, ReportsEveryBadLineAcrossFiles) {
+  const std::string dir = testDir("all_errors");
+  // The merge reads every input to the end, so one pass names every shard
+  // that needs a rerun.
+  writeFile(dir + "/s0.jsonl", std::string(kRowA) + "\n" + R"({"sweep": "s", "ta)");
+  writeFile(dir + "/s1.jsonl", "not json\n" + std::string(kRowB) + "\n");
+  writeFile(dir + "/s2.jsonl", std::string(kRowA) + "\n");
+  const MergeResult res = mergeJsonl(
+      {dir + "/s0.jsonl", dir + "/s1.jsonl", dir + "/s2.jsonl"}, dir + "/out.jsonl");
+  EXPECT_FALSE(res.ok);
+  ASSERT_EQ(res.errors.size(), 3u);
+  EXPECT_NE(res.errors[0].find("s0.jsonl:2: not JSON"), std::string::npos) << res.errors[0];
+  EXPECT_NE(res.errors[1].find("s1.jsonl:1: not JSON"), std::string::npos) << res.errors[1];
+  EXPECT_NE(res.errors[2].find("s2.jsonl:1: duplicate row (also in "), std::string::npos)
+      << res.errors[2];
+  EXPECT_FALSE(fs::exists(dir + "/out.jsonl"));
+}
+
 #if defined(DISP_BENCH_BIN)
 
 // ------------------------------------------------- subprocess end-to-end
@@ -258,12 +530,12 @@ std::string refJsonl() {
   return path;
 }
 
-/// Runs shard I of 2 into dir/shardI.jsonl; returns its exit code.
-int runShard(const std::string& dir, int index) {
+/// Runs shard I of `count` into dir/shardI.jsonl; returns its exit code.
+int runShard(const std::string& dir, int index, int count = 2) {
   const std::string jsonl = dir + "/shard" + std::to_string(index) + ".jsonl";
-  return exitCode(std::string(DISP_BENCH_BIN) + " scenario" + kAxes +
-                  " --shard=" + std::to_string(index) + "/2 --jsonl=" + jsonl +
-                  " --stream-cells > " + jsonl + ".out 2>&1");
+  return exitCode(std::string(DISP_BENCH_BIN) + " scenario" + kAxes + " --shard=" +
+                  std::to_string(index) + "/" + std::to_string(count) +
+                  " --jsonl=" + jsonl + " --stream-cells > " + jsonl + ".out 2>&1");
 }
 
 /// `disp_bench merge --out=dir/merged.jsonl` over the two shard files;
@@ -319,6 +591,38 @@ TEST(MergeE2E, TornShardIsRefusedUntilRerun) {
   ASSERT_EQ(runShard(dir, 0), 0);
   ASSERT_EQ(mergeShards(dir), 0) << slurp(dir + "/merge.err");
   EXPECT_EQ(cellRows(dir + "/merged.jsonl"), cellRows(refJsonl()));
+}
+
+TEST(MergeE2E, EmptyShardsExitZeroAndMergeToTheReference) {
+  const std::string dir = testDir("six_shards");
+  // 4 cells over 6 shards: shards 4 and 5 own no cell.  They exit 0 like
+  // any other shard, and their empty files merge in without complaint.
+  std::string files;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_EQ(runShard(dir, i, 6), 0) << slurp(dir + "/shard" + std::to_string(i) +
+                                              ".jsonl.out");
+    files += " " + dir + "/shard" + std::to_string(i) + ".jsonl";
+  }
+  EXPECT_TRUE(cellRows(dir + "/shard4.jsonl").empty());
+  EXPECT_TRUE(cellRows(dir + "/shard5.jsonl").empty());
+  ASSERT_EQ(exitCode(std::string(DISP_BENCH_BIN) + " merge --out=" + dir +
+                     "/merged.jsonl" + files + " > " + dir + "/merge.out 2> " + dir +
+                     "/merge.err"),
+            0)
+      << slurp(dir + "/merge.err");
+  EXPECT_EQ(cellRows(dir + "/merged.jsonl"), cellRows(refJsonl()));
+}
+
+TEST(MergeE2E, MissingShardFileIsRefused) {
+  const std::string dir = testDir("missing_shard");
+  // Shard 1 never ran (or its file was lost): the merge names the file and
+  // writes nothing, so a partial sweep never passes for a whole one.
+  ASSERT_EQ(runShard(dir, 0), 0);
+  EXPECT_EQ(mergeShards(dir), 1);
+  EXPECT_NE(slurp(dir + "/merge.err").find(dir + "/shard1.jsonl: cannot open"),
+            std::string::npos)
+      << slurp(dir + "/merge.err");
+  EXPECT_FALSE(fs::exists(dir + "/merged.jsonl"));
 }
 
 TEST(MergeE2E, RefusesDivergenceOverlapAndUnknownFlags) {
