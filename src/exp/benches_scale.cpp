@@ -125,34 +125,42 @@ void benchScaleReal(BenchContext& ctx) {
     return double(graphBytes + worldBytes + engineBytes) / double(1u << 20);
   };
 
+  // The skip note and the ingest row describe a dataset, not a cell, so
+  // under --shard=I/N only shard 0 writes them: each row of the sweep then
+  // comes from exactly one shard, and the shards merge.
+  const bool writesDatasetRows = ctx.batch.shardIndex == 0;
   for (const std::string& graph : graphs) {
     if (graph.rfind("file:", 0) == 0) {
       const std::string path = graph.substr(5);
       if (!std::ifstream(path).good()) {
-        emitNote(ctx, name, "note",
-                 "skipped " + graph +
-                     " (dataset not materialized; run scripts/make_scale_data.sh)");
+        if (writesDatasetRows) {
+          emitNote(ctx, name, "note",
+                   "skipped " + graph +
+                       " (dataset not materialized; run scripts/make_scale_data.sh)");
+        }
         continue;
       }
-      // Ingest demonstration: time the streaming load on its own, with
-      // the RSS watermark reset so the row isolates the loader's
-      // footprint (two passes over the file, id map + mapped pairs
-      // transient, CSR emitted directly).  BatchRunner reloads below for
-      // the cells.
-      (void)disp::resetPeakRss();
-      const auto t0 = std::chrono::steady_clock::now();
-      const Graph g = loadAnyGraph(path);
-      const double loadMs = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-      Table ingest({"file", "n", "m", "load_ms", "peak_rss_mb"});
-      ingest.row()
-          .cell(path)
-          .cell(std::uint64_t{g.nodeCount()})
-          .cell(g.edgeCount())
-          .cell(loadMs, 1)
-          .cell(disp::peakRssMb(), 1);
-      emitTable(ctx, name, "ingest: " + path, ingest);
+      if (writesDatasetRows) {
+        // Ingest demonstration: time the streaming load on its own, with
+        // the RSS watermark reset so the row isolates the loader's
+        // footprint (two passes over the file, id map + mapped pairs
+        // transient, CSR emitted directly).  BatchRunner reloads below
+        // for the cells.
+        (void)disp::resetPeakRss();
+        const auto t0 = std::chrono::steady_clock::now();
+        const Graph g = loadAnyGraph(path);
+        const double loadMs = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+        Table ingest({"file", "n", "m", "load_ms", "peak_rss_mb"});
+        ingest.row()
+            .cell(path)
+            .cell(std::uint64_t{g.nodeCount()})
+            .cell(g.edgeCount())
+            .cell(loadMs, 1)
+            .cell(disp::peakRssMb(), 1);
+        emitTable(ctx, name, "ingest: " + path, ingest);
+      }
     }
 
     SweepSpec spec;

@@ -254,14 +254,6 @@ const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members() const
   return members_;
 }
 
-const JsonValue* JsonValue::find(std::string_view key) const {
-  if (kind_ != Kind::Object) return nullptr;
-  for (const auto& [k, v] : members_) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
 void JsonValue::dumpTo(std::string& out) const {
   switch (kind_) {
     case Kind::Null:

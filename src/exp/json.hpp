@@ -24,9 +24,6 @@ class JsonValue {
   /// Object members in insertion order.
   [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>& members() const;
 
-  /// Object lookup; nullptr when absent (or not an object).
-  [[nodiscard]] const JsonValue* find(std::string_view key) const;
-
   /// Compact single-line serialization (no trailing newline).
   [[nodiscard]] std::string dump() const;
 

@@ -1,10 +1,10 @@
 // Tests for sharded sweeps and their audited merge: the JSON reader, the
 // --shard parse, the merge rules of exp/merge.hpp, and — when the bench
 // binary is built (DISP_BENCH_BIN) — subprocess end-to-end runs: shards
-// of a sweep (empty ones included) must merge to the unsharded reference,
-// a torn or missing shard file must be refused until that shard is rerun,
-// and `disp_bench merge` must refuse diverging and overlapping shards
-// without writing anything.
+// of `scenario` (empty ones included) and of `scale_real` must merge to
+// the unsharded run, a torn or missing shard file must be refused until
+// that shard is rerun, and `disp_bench merge` must refuse diverging and
+// overlapping shards without writing anything.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -66,24 +66,32 @@ std::string slurp(const std::string& path) {
 
 // ------------------------------------------------------------------ JSON
 
+/// The value of `key` in object `v`, or nullptr when the key is absent.
+const JsonValue* member(const JsonValue& v, const std::string& key) {
+  for (const auto& [k, value] : v.members()) {
+    if (k == key) return &value;
+  }
+  return nullptr;
+}
+
 TEST(Json, RoundTripsJsonlWriterRows) {
   const std::string line =
       R"({"sweep": "scenario", "table": "cell", "graph": "path:n=64", "k": "4", "moves": "17"})";
   const JsonValue v = JsonValue::parse(line);
   ASSERT_TRUE(v.isObject());
   EXPECT_EQ(v.dump(), line);  // insertion order + string values preserved
-  ASSERT_NE(v.find("graph"), nullptr);
-  EXPECT_EQ(v.find("graph")->asString(), "path:n=64");
-  EXPECT_EQ(v.find("missing"), nullptr);
+  ASSERT_NE(member(v, "graph"), nullptr);
+  EXPECT_EQ(member(v, "graph")->asString(), "path:n=64");
+  EXPECT_EQ(member(v, "missing"), nullptr);
 }
 
 TEST(Json, ParsesNestedValuesAndEscapes) {
   const std::string text = R"({"a": [1, 2.5, true, null], "s": "q\"\\\nA"})";
   const JsonValue v = JsonValue::parse(text);
   EXPECT_EQ(v.dump(), text);  // foreign values compare by this compact form
-  ASSERT_NE(v.find("a"), nullptr);
-  EXPECT_FALSE(v.find("a")->isString());
-  EXPECT_EQ(v.find("s")->asString(), "q\"\\\nA");
+  ASSERT_NE(member(v, "a"), nullptr);
+  EXPECT_FALSE(member(v, "a")->isString());
+  EXPECT_EQ(member(v, "s")->asString(), "q\"\\\nA");
 }
 
 TEST(Json, RejectsMalformedInputWithOffset) {
@@ -153,7 +161,7 @@ TEST(Json, NumbersReparseToTheSameValue) {
 TEST(Json, RepeatedKeyKeepsFirstPositionAndLastValue) {
   const JsonValue v = JsonValue::parse(R"({"a": "1", "b": "2", "a": "3"})");
   ASSERT_EQ(v.members().size(), 2u);
-  EXPECT_EQ(v.find("a")->asString(), "3");
+  EXPECT_EQ(member(v, "a")->asString(), "3");
   EXPECT_EQ(v.dump(), R"({"a": "3", "b": "2"})");
 }
 
@@ -186,7 +194,6 @@ TEST(Json, AccessorsRejectTheWrongKind) {
   EXPECT_FALSE(array.isObject());
   EXPECT_THROW((void)number.asString(), std::runtime_error);
   EXPECT_THROW((void)array.members(), std::runtime_error);
-  EXPECT_EQ(array.find("a"), nullptr);  // lookup on a non-object finds nothing
   EXPECT_TRUE(JsonValue::parse(R"("s")").isString());
 }
 
@@ -511,8 +518,28 @@ std::multiset<std::string> cellRows(const std::string& path) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     const JsonValue row = JsonValue::parse(line);
-    const JsonValue* table = row.find("table");
+    const JsonValue* table = member(row, "table");
     if (table != nullptr && table->asString() == "cell") out.insert(line);
+  }
+  return out;
+}
+
+/// Every row of a JSONL file with its run-dependent telemetry columns
+/// (load time, peak RSS and the ratio over it) dropped.
+std::multiset<std::string> factRows(const std::string& path) {
+  std::multiset<std::string> out;
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << path;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    const JsonValue row = JsonValue::parse(line);
+    std::string facts;
+    for (const auto& [key, value] : row.members()) {
+      if (key == "load_ms" || key == "peak_rss_mb" || key == "rss_ratio") continue;
+      facts += jsonQuote(key) + ": " + value.dump() + "; ";
+    }
+    out.insert(facts);
   }
   return out;
 }
@@ -616,13 +643,44 @@ TEST(MergeE2E, EmptyShardsExitZeroAndMergeToTheReference) {
 TEST(MergeE2E, MissingShardFileIsRefused) {
   const std::string dir = testDir("missing_shard");
   // Shard 1 never ran (or its file was lost): the merge names the file and
-  // writes nothing, so a partial sweep never passes for a whole one.
+  // writes nothing.  Only a missing file or a torn line is caught: a shard
+  // killed between two rows leaves a short but clean file that merges, so
+  // a shard's nonzero exit is the sign that it needs a rerun.
   ASSERT_EQ(runShard(dir, 0), 0);
   EXPECT_EQ(mergeShards(dir), 1);
   EXPECT_NE(slurp(dir + "/merge.err").find(dir + "/shard1.jsonl: cannot open"),
             std::string::npos)
       << slurp(dir + "/merge.err");
   EXPECT_FALSE(fs::exists(dir + "/merged.jsonl"));
+}
+
+TEST(MergeE2E, ScaleRealShardsMergeToTheUnshardedRun) {
+  const std::string dir = testDir("scale_real");
+  // One dataset on disk and one missing: scale_real writes an ingest row
+  // for the first and a skip note for the second, once per dataset, not
+  // once per cell.  Only shard 0 may write them, or every shard repeats
+  // them and the merge refuses the overlap.
+  std::string edges;
+  for (int v = 0; v + 1 < 12; ++v) {
+    edges += std::to_string(v) + " " + std::to_string(v + 1) + "\n";
+  }
+  writeFile(dir + "/path12.txt", edges);
+  const std::string run = std::string(DISP_BENCH_BIN) + " scale_real --graphs='file:" +
+                          dir + "/path12.txt;file:" + dir +
+                          "/absent.e' --ks=4,6 --placements=rooted --stream-cells";
+  const auto runInto = [&](const std::string& jsonl, const std::string& shard) {
+    return exitCode(run + shard + " --jsonl=" + jsonl + " > " + jsonl + ".out 2>&1");
+  };
+  ASSERT_EQ(runInto(dir + "/ref.jsonl", ""), 0) << slurp(dir + "/ref.jsonl.out");
+  ASSERT_EQ(runInto(dir + "/shard0.jsonl", " --shard=0/2"), 0);
+  ASSERT_EQ(runInto(dir + "/shard1.jsonl", " --shard=1/2"), 0);
+  ASSERT_EQ(mergeShards(dir), 0) << slurp(dir + "/merge.err");
+  // Every row, not only the cell rows: the shards together write what
+  // the unsharded run writes, each row exactly once.
+  const std::multiset<std::string> want = factRows(dir + "/ref.jsonl");
+  EXPECT_EQ(cellRows(dir + "/ref.jsonl").size(), 2u);
+  EXPECT_EQ(want.size(), 6u);  // 2 cells, their 2 table rows, ingest, note
+  EXPECT_EQ(factRows(dir + "/merged.jsonl"), want);
 }
 
 TEST(MergeE2E, RefusesDivergenceOverlapAndUnknownFlags) {
