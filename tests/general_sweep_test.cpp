@@ -1,17 +1,19 @@
 // Equality gate over the general protocols (general_sync, and general_async
-// under all four schedulers) and over the rooted ASYNC protocols
-// rooted_async, which shares its ASYNC growing phase with general_async, and
-// ks_async (each under all four schedulers): a fixed grid of runScenario
-// runs, each run's outcome folded into one FNV-1a digest per case.  A
-// refactor of any of these protocols, or of the ASYNC engine they all run
-// on, must keep every digest byte-identical.
+// under all four schedulers), over the rooted ASYNC protocols rooted_async,
+// which shares its ASYNC growing phase with general_async, and ks_async
+// (each under all four schedulers), and over rooted_sync, whose oscillating
+// settlers the SYNC engine moves on read: a fixed grid of runScenario runs,
+// each run's outcome folded into one FNV-1a digest per case.  A refactor of
+// any of these protocols, of the oscillator system or of the engines they
+// run on must keep every digest byte-identical.
 //
 // Grid: 8 graph families x k in {8, 16, 32, 64} x placements x seeds, with
 // n = 2k and the seed driving graph, placement and run.  The general cases
 // run 5 clustered placements, the rooted cases `rooted` and
-// `adversarial:hot`.  Tier-1 runs seeds 1-2 (1,600 general runs and 512
-// runs of each rooted protocol); the DISABLED_ twins run seeds 1-30 (24,000
-// general runs and 7,680 of each rooted protocol) and run in CI with
+// `adversarial:hot`.  Tier-1 runs seeds 1-2 (1,600 general runs, 512 runs
+// of each rooted ASYNC protocol and 128 of rooted_sync); the DISABLED_
+// twins run seeds 1-30 (24,000 general runs, 7,680 of each rooted ASYNC
+// protocol and 1,920 of rooted_sync) and run in CI with
 // --gtest_also_run_disabled_tests.
 //
 // The grid holds 5 known-bad runs (ROADMAP item 1), all general.  Each is
@@ -58,6 +60,7 @@ constexpr Case kKsRoundRobin{"ks_async", "round_robin", kRootedPlacements};
 constexpr Case kKsShuffled{"ks_async", "shuffled", kRootedPlacements};
 constexpr Case kKsUniform{"ks_async", "uniform", kRootedPlacements};
 constexpr Case kKsWeighted{"ks_async", "weighted", kRootedPlacements};
+constexpr Case kRootedSync{"rooted_sync", "round_robin", kRootedPlacements};
 
 /// A run's recorded outcome: the RunResult summary, or the exception text.
 struct Outcome {
@@ -303,6 +306,16 @@ TEST(GeneralSweep, DISABLED_KsAsyncUniformSeeds1To30) {
 }
 TEST(GeneralSweep, DISABLED_KsAsyncWeightedSeeds1To30) {
   expectDigest(kKsWeighted, 1, 30, 0x43d46e6b02f933baULL);
+}
+
+// Digests recorded before the SYNC engine moved oscillating settlers on
+// read instead of every round; seeds 1-2 (tier-1) and 1-30 (full sweep).
+TEST(GeneralSweep, RootedSyncSeeds1To2) {
+  expectDigest(kRootedSync, 1, 2, 0x0511b6ff60666dd5ULL);
+}
+
+TEST(GeneralSweep, DISABLED_RootedSyncSeeds1To30) {
+  expectDigest(kRootedSync, 1, 30, 0x94802ce5d59aa6c2ULL);
 }
 
 // Each pinned run keeps its recorded outcome: a known-bad run until it is
