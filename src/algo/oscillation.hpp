@@ -13,14 +13,27 @@
 //
 // Route knowledge is strictly local: stops are stored as ports (child port
 // at home; parent port plus sibling port at the parent); return hops use
-// the agent's own pin.  The system stages one move per oscillating agent
-// per round through a SyncEngine round hook.
+// the agent's own pin.
+//
+// Between assignment changes a trip is a fixed cycle of at most 6 (node,
+// pin, stop) states, so the system keeps each oscillator's cycle and the
+// round it was last brought up to date, and moves it in the World only
+// when something reads it (SyncEngine's DeferredMover slot): a query at a
+// node of its route, found through a per-node route index; a read of its
+// position, pin, idle, stop or duty state; an assignment change; or the end
+// of the run.  Its hops are counted one per round on duty.  When the engine
+// refuses deferral (an observer or a fault injector is installed), a round
+// hook stages one move per oscillating agent per round instead; that eager
+// stepper alone emits the per-round Move stream and meets the crash and
+// churn vetoes, and debug builds replay every deferred catch-up with its
+// rules.
 //
 // Assignment changes require co-location, mirroring the paper's local
 // communication: new stops may only be added while the oscillator is at
 // home (callers arrange co-location and at-home-ness first), and a stop may
 // only be dropped while the oscillator is standing on it.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -30,11 +43,13 @@
 
 namespace disp {
 
-class OscillatorSystem {
+class OscillatorSystem final : private DeferredMover {
  public:
   explicit OscillatorSystem(SyncEngine& engine);
 
-  /// Registers the round hook with the engine.  Call once.
+  /// Starts the oscillators moving: as the engine's deferred mover, or
+  /// through a round hook when the engine observes or injects faults.
+  /// Call once, after the engine's observer and fault injector.
   void install();
 
   /// Adds a covered child: agent (at home) will visit neighbor(home, childPort).
@@ -48,9 +63,10 @@ class OscillatorSystem {
   void addSiblingStop(AgentIx agent, Port parentPort, Port siblingPortAtParent);
 
   /// True iff the agent currently has coverage duty (stops assigned or a
-  /// trip still in flight).  One flat-array byte load: memory accounting
-  /// calls this for every agent at every checkpoint.
+  /// trip still in flight).  A flat-array byte load after the catch-up:
+  /// memory accounting calls this at every checkpoint.
   [[nodiscard]] bool isOscillating(AgentIx agent) const {
+    syncAgent(agent);
     return duty_[agent] != 0;
   }
 
@@ -91,6 +107,26 @@ class OscillatorSystem {
     Port stopKey = kNoPort;     // set on hops that ARRIVE at a covered stop
   };
 
+  /// Where a hop lands: node, incoming port, and the stop key when the
+  /// node is a covered stop (kNoPort otherwise).
+  struct Spot {
+    NodeId node = kInvalidNode;
+    Port pin = kNoPort;
+    Port stop = kNoPort;
+  };
+
+  /// Route index entry: the oscillator may stand on `node`.  Entries of one
+  /// node form a doubly linked list through the oscillators' route records;
+  /// an entry's id is agent * kRouteSlots + slot.
+  struct RouteLink {
+    NodeId node = kInvalidNode;
+    std::uint32_t prev = kNoLink;
+    std::uint32_t next = kNoLink;
+  };
+  static constexpr std::uint32_t kNoLink = 0xffffffffu;
+  /// Home plus at most three children, or home, parent and two siblings.
+  static constexpr std::uint32_t kRouteSlots = 4;
+
   struct Osc {
     AgentIx agent = kNoAgent;
     bool siblingType = false;
@@ -101,7 +137,41 @@ class OscillatorSystem {
     std::size_t planIx = 0;
     NodeId home = kInvalidNode;      // engine bookkeeping
     Port atStop = kNoPort;           // stop the agent stands on now (else 0)
+    // Deferred mode only.
+    std::uint64_t syncedTo = 0;      // hooks of rounds < syncedTo are applied
+    bool replan = true;              // stops changed since `plan` was built
+    std::array<Spot, 6> spots{};     // where each hop of `plan` lands
+    std::array<RouteLink, kRouteSlots> route{};  // its route index entries
   };
+
+  // DeferredMover: the engine's read paths.
+  void catchUpAgent(AgentIx agent) override { syncAgent(agent); }
+  void catchUpNode(NodeId v) override;
+  void catchUpAll() override;
+
+  /// Brings the agent's oscillator, if any, up to the current round
+  /// (deferred mode; a no-op otherwise).
+  void syncAgent(AgentIx agent) const {
+    if (world_ == nullptr) return;
+    const AgentIx ix = ixOf_[agent];
+    if (ix != kNoAgent && oscs_[ix].syncedTo != engine_.round()) advance(oscs_[ix]);
+  }
+  /// Applies the round hooks since osc.syncedTo in closed form.
+  void advance(Osc& osc) const;
+  /// Fills osc.spots (and, for sibling trips, osc.homeReturn) from the plan.
+  void planSpots(Osc& osc) const;
+  /// Points the route index at exactly the nodes osc's trips can reach.
+  void indexRoute(Osc& osc);
+  void unindexRoute(Osc& osc);
+  [[nodiscard]] RouteLink& linkAt(std::uint32_t id) const {
+    return oscs_[ixOf_[id / kRouteSlots]].route[id % kRouteSlots];
+  }
+#ifndef NDEBUG
+  /// Replays `hooks` round hooks of `before` hop by hop with the eager
+  /// stepper's rules and requires the catch-up's result `after`.
+  void checkCatchUp(Osc before, NodeId at, Port pin, bool duty, std::uint64_t hooks,
+                    const Osc& after, std::uint64_t hops) const;
+#endif
 
   [[nodiscard]] Osc* find(AgentIx agent);
   [[nodiscard]] const Osc* find(AgentIx agent) const;
@@ -113,14 +183,20 @@ class OscillatorSystem {
   void stageMoves();
 
   SyncEngine& engine_;
-  std::vector<Osc> oscs_;
+  /// The engine's World in deferred mode (null when eager or not
+  /// installed): oscillators are relocated in it on read.
+  World* world_ = nullptr;
+  /// Caught up from const reads, which leave the observable state as the
+  /// per-round moves would have.
+  mutable std::vector<Osc> oscs_;
   /// Agent -> index into oscs_ (kNoAgent = none): find() is O(1), which
-  /// matters because per-agent memory accounting queries isOscillating()
-  /// for every agent (O(k * oscillators) per snapshot otherwise).
+  /// matters because per-agent memory accounting queries isOscillating().
   std::vector<AgentIx> ixOf_;
   /// Mirror of `!stops.empty() || !plan.empty()` per agent, maintained at
   /// the duty transitions (stop added, retired trip cleared, retire()).
-  std::vector<std::uint8_t> duty_;
+  mutable std::vector<std::uint8_t> duty_;
+  /// Deferred mode: per node, the first route index entry (kNoLink = none).
+  std::vector<std::uint32_t> routeHead_;
   bool installed_ = false;
 };
 

@@ -84,7 +84,16 @@ void SyncEngine::commitRound() {
 
 void SyncEngine::installObserver(EngineObserver observer) {
   DISP_CHECK(!running_, "installObserver() during run()");
+  DISP_CHECK(deferred_ == nullptr, "installObserver() after deferMoves()");
   trace_.install(std::move(observer));
+}
+
+World* SyncEngine::deferMoves(DeferredMover& mover) {
+  DISP_CHECK(!running_, "deferMoves() during run()");
+  DISP_CHECK(deferred_ == nullptr, "deferMoves() called twice");
+  if (trace_.observing() || faults_ != nullptr) return nullptr;
+  deferred_ = &mover;
+  return &world_;
 }
 
 void SyncEngine::run(std::uint64_t maxRounds) {
@@ -165,6 +174,9 @@ void SyncEngine::run(std::uint64_t maxRounds) {
       faults_->advanceTo(round_, world_, trace_);
     }
   }
+  // Deferred agents end the run where their per-round moves would have
+  // left them, with those moves counted.
+  if (deferred_ != nullptr) deferred_->catchUpAll();
   // Close the series on the terminal state: the run may end off-cadence,
   // and the final fiber resumes (settles without staged moves) happen after
   // the last commit.
@@ -175,8 +187,9 @@ void SyncEngine::run(std::uint64_t maxRounds) {
 }
 
 std::vector<NodeId> SyncEngine::positionsSnapshot() const {
+  if (deferred_ != nullptr) deferred_->catchUpAll();
   std::vector<NodeId> out(agentCount());
-  for (AgentIx a = 0; a < agentCount(); ++a) out[a] = positionOf(a);
+  for (AgentIx a = 0; a < agentCount(); ++a) out[a] = world_.positionOf(a);
   return out;
 }
 

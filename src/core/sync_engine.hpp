@@ -9,6 +9,15 @@
 // Several fibers may coexist (general initial configurations run one DFS
 // fiber per start node).  Round hooks run every round before commit and are
 // used by free-running subsystems (oscillating settlers).
+//
+// A free-running subsystem whose moves follow in closed form from what it
+// already holds may instead defer them (DeferredMover): the engine then
+// asks it to bring its agents up to date whenever the world is read —
+// positionOf, pinOf, agentsAt, countAt, positionsSnapshot — and at the end
+// of run(), so every reader sees the state the per-round moves would have
+// left.  Deferral is refused once an observer or a fault injector is
+// installed: only staged moves emit the per-round Move stream and pass the
+// crash and churn vetoes.
 
 #include <cstdint>
 #include <functional>
@@ -24,6 +33,23 @@
 
 namespace disp {
 
+/// A subsystem whose agents' moves are brought up to date on read instead of
+/// being staged every round (see the header note).  Its agents are moved by
+/// it alone: nothing else stages moves for them.
+class DeferredMover {
+ public:
+  /// Brings agent `a`, if it is one of the mover's, to its current place.
+  virtual void catchUpAgent(AgentIx a) = 0;
+  /// Brings every agent of the mover's that may stand on `v` to its current
+  /// place.
+  virtual void catchUpNode(NodeId v) = 0;
+  /// Brings every agent of the mover's to its current place.
+  virtual void catchUpAll() = 0;
+
+ protected:
+  ~DeferredMover() = default;
+};
+
 class SyncEngine {
  public:
   SyncEngine(const Graph& g, std::vector<NodeId> startPositions,
@@ -33,14 +59,26 @@ class SyncEngine {
   [[nodiscard]] const Graph& graph() const noexcept { return world_.graph(); }
   [[nodiscard]] std::uint32_t agentCount() const noexcept { return world_.agentCount(); }
   [[nodiscard]] AgentId idOf(AgentIx a) const { return world_.idOf(a); }
-  [[nodiscard]] NodeId positionOf(AgentIx a) const { return world_.positionOf(a); }
-  [[nodiscard]] Port pinOf(AgentIx a) const { return world_.pinOf(a); }
+  [[nodiscard]] NodeId positionOf(AgentIx a) const {
+    if (deferred_ != nullptr) deferred_->catchUpAgent(a);
+    return world_.positionOf(a);
+  }
+  [[nodiscard]] Port pinOf(AgentIx a) const {
+    if (deferred_ != nullptr) deferred_->catchUpAgent(a);
+    return world_.pinOf(a);
+  }
   [[nodiscard]] const std::vector<AgentIx>& agentsAt(NodeId v) const {
+    if (deferred_ != nullptr) deferred_->catchUpNode(v);
     return world_.agentsAt(v);
   }
   /// O(1) co-location count (agentsAt(v).size() without materializing).
-  [[nodiscard]] std::uint32_t countAt(NodeId v) const { return world_.countAt(v); }
+  [[nodiscard]] std::uint32_t countAt(NodeId v) const {
+    if (deferred_ != nullptr) deferred_->catchUpNode(v);
+    return world_.countAt(v);
+  }
   [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
+  /// Moves so far.  Exact between runs; during a run with a deferred mover
+  /// it leaves out the deferred hops that no read has caught up yet.
   [[nodiscard]] std::uint64_t totalMoves() const noexcept { return world_.totalMoves(); }
   [[nodiscard]] MemoryLedger& memory() noexcept { return memory_; }
 
@@ -93,10 +131,19 @@ class SyncEngine {
   ///  * hitting the round limit reports limitHit() instead of throwing.
   void installFaults(FaultInjector* faults) {
     DISP_CHECK(!running_, "installFaults() during run()");
+    DISP_CHECK(deferred_ == nullptr, "installFaults() after deferMoves()");
     faults_ = faults;
   }
   /// True iff a fault-mode run ended at the round limit (verdict, not bug).
   [[nodiscard]] bool limitHit() const noexcept { return limitHit_; }
+
+  // --- deferred moves (see the header note) ---
+  /// Lets `mover` defer its agents' moves, and lends it the World to
+  /// relocate them in (World::relocate, World::creditMoves).  Returns null,
+  /// and installs nothing, when an observer or a fault injector is
+  /// installed: the mover must then stage its moves every round.  Call
+  /// before run(), after installObserver() and installFaults().
+  [[nodiscard]] World* deferMoves(DeferredMover& mover);
 
   // --- orchestration ---
   void addFiber(Task task);
@@ -135,6 +182,7 @@ class SyncEngine {
   TraceHost trace_;       ///< observability (inert without installObserver)
   FaultInjector* faults_ = nullptr;  ///< fault mode (inert when null)
   bool limitHit_ = false;            ///< fault-mode limit verdict
+  DeferredMover* deferred_ = nullptr;  ///< caught up on every read (null: none)
 };
 
 /// Convenience subtask: let `n` rounds pass.

@@ -89,6 +89,20 @@ class World {
     moveInternal(a, agents_[a].pos, p);
   }
 
+  /// Puts agent `a` on node `to` with incoming port `pin`, counting no
+  /// move: for hops computed in closed form rather than applied one by one
+  /// (the SYNC engine's deferred oscillators), whose count arrives through
+  /// creditMoves().  Occupancy lists and view logs change as for a move.
+  void relocate(AgentIx a, NodeId to, Port pin) {
+    DISP_DCHECK(a < agentCount(), "agent out of range");
+    DISP_DCHECK(to < graph_->nodeCount(), "node out of range");
+    if (agents_[a].pos != to) relink(a, agents_[a].pos, to);
+    agents_[a].pin = pin;
+  }
+
+  /// Adds `moves` moves made by relocate()d agents to totalMoves().
+  void creditMoves(std::uint64_t moves) noexcept { totalMoves_ += moves; }
+
  private:
   enum : std::uint8_t { kViewClean = 0, kViewPendingLog = 1, kViewRebuild = 2 };
   // Pending ops replayable in O(g) each stay worthwhile only in small
@@ -154,7 +168,13 @@ class World {
   void materialize(NodeId v) const;
 
   void moveInternal(AgentIx a, NodeId from, Port p) {
-    const NodeId to = graph_->neighbor(from, p);
+    relink(a, from, graph_->neighbor(from, p));
+    agents_[a].pin = graph_->reversePort(from, p);
+    ++totalMoves_;
+  }
+
+  /// Moves `a`'s occupancy from `from` to `to` (leaves the pin alone).
+  void relink(AgentIx a, NodeId from, NodeId to) {
     AgentCell& cell = agents_[a];
     NodeCell& src = nodes_[from];
     NodeCell& dst = nodes_[to];
@@ -176,10 +196,7 @@ class World {
     ++dst.count;
     logOp(from, a | kLogRemove);
     logOp(to, a);
-
     cell.pos = to;
-    cell.pin = graph_->reversePort(from, p);
-    ++totalMoves_;
   }
 
   void logOp(NodeId v, AgentIx entry) {

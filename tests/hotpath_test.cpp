@@ -1,8 +1,9 @@
 // Guard rails for the simulator hot-path data structures (see DESIGN.md
 // "Hot-path data structures"):
-//  * a randomized occupancy fuzz test replaying thousands of moves against
-//    a naive reference model — positions, pins, sorted agentsAt() views,
-//    O(1) counts and totalMoves must match after every step;
+//  * a randomized occupancy fuzz test replaying thousands of moves (and
+//    relocations with credited moves) against a naive reference model —
+//    positions, pins, sorted agentsAt() views, O(1) counts and totalMoves
+//    must match after every step;
 //  * an AsyncEngine epoch regression pinned to the values the epoch-stamp
 //    accounting must reproduce exactly (epochs are simulation facts).
 #include <gtest/gtest.h>
@@ -46,6 +47,15 @@ struct NaiveOccupancy {
     pin[a] = g.reversePort(from, p);
     ++moves;
   }
+
+  void relocate(AgentIx a, NodeId to, Port newPin) {
+    auto& f = at[pos[a]];
+    f.erase(std::find(f.begin(), f.end(), a));
+    auto& t = at[to];
+    t.insert(std::upper_bound(t.begin(), t.end(), a), a);
+    pos[a] = to;
+    pin[a] = newPin;
+  }
 };
 
 std::vector<AgentId> seqIds(std::uint32_t k) {
@@ -54,8 +64,12 @@ std::vector<AgentId> seqIds(std::uint32_t k) {
   return ids;
 }
 
+/// `relocateSkip` > 0 turns every relocateSkip-th step into a relocate of
+/// a random agent to a random node (its own node included) with a random
+/// pin, plus a credit of 0-3 moves.
 void fuzzWorld(const Graph& g, std::uint32_t k, std::uint32_t steps,
-               std::uint32_t querySkip, std::uint64_t seed) {
+               std::uint32_t querySkip, std::uint64_t seed,
+               std::uint32_t relocateSkip = 0) {
   std::mt19937_64 rng(seed);
   std::vector<NodeId> start(k);
   for (auto& v : start) v = static_cast<NodeId>(rng() % g.nodeCount());
@@ -65,11 +79,21 @@ void fuzzWorld(const Graph& g, std::uint32_t k, std::uint32_t steps,
 
   for (std::uint32_t step = 0; step < steps; ++step) {
     const auto a = static_cast<AgentIx>(rng() % k);
-    const Port deg = g.degree(world.positionOf(a));
-    ASSERT_GE(deg, 1u);  // families used here are connected
-    const Port p = 1 + static_cast<Port>(rng() % deg);
-    world.applyMove(a, p);
-    ref.move(g, a, p);
+    if (relocateSkip != 0 && step % relocateSkip == 0) {
+      const auto to = static_cast<NodeId>(rng() % g.nodeCount());
+      const auto pin = static_cast<Port>(rng() % (g.degree(to) + 1));
+      const std::uint64_t credit = rng() % 4;
+      world.relocate(a, to, pin);
+      world.creditMoves(credit);
+      ref.relocate(a, to, pin);
+      ref.moves += credit;
+    } else {
+      const Port deg = g.degree(world.positionOf(a));
+      ASSERT_GE(deg, 1u);  // families used here are connected
+      const Port p = 1 + static_cast<Port>(rng() % deg);
+      world.applyMove(a, p);
+      ref.move(g, a, p);
+    }
 
     ASSERT_EQ(world.totalMoves(), ref.moves);
     ASSERT_EQ(world.positionOf(a), ref.pos[a]);
@@ -128,6 +152,20 @@ TEST(WorldOccupancyFuzz, CrowdedHubBitmapRebuild) {
   for (const std::uint32_t querySkip : {1u, 11u, 64u}) {
     fuzzWorld(g, 900, 5000, querySkip, 0xb17ULL + querySkip);
   }
+}
+
+TEST(WorldOccupancyFuzz, RelocatesMixedWithMoves) {
+  // Relocations (deferred oscillator catch-ups) share the occupancy lists
+  // and view logs with moves: every third step relocates, sometimes onto
+  // the agent's own node, under each query cadence.
+  const Graph er = makeGraph("er", 64, 11);
+  for (const std::uint32_t querySkip : {1u, 7u}) {
+    fuzzWorld(er, 48, 3000, querySkip, 0x7e10cULL + querySkip, 3);
+  }
+  const Graph small = makeGraph("path", 6, 5);
+  fuzzWorld(small, 5, 3000, 5, 0x5a11ULL, 2);
+  const Graph hub = makeGraph("star", 256, 21);
+  fuzzWorld(hub, 200, 4000, 11, 0xb17ULL, 4);
 }
 
 // --------------------------------------------- epoch regression
