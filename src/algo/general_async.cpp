@@ -17,7 +17,11 @@ GeneralAsyncDispersion::GeneralAsyncDispersion(AsyncEngine& engine)
       leadQueued_(engine.agentCount(), kNoGroup),
       anchorOf_(engine.agentCount(), kNoGroup) {
   initGroups();
-  for (const GroupCtx& ctx : groups_) leadQueued_[ctx.leader] = ctx.label;
+  ledGroups_.assign(engine_.agentCount(), 0);
+  for (const GroupCtx& ctx : groups_) {
+    leadQueued_[ctx.leader] = ctx.label;
+    ++ledGroups_[ctx.leader];
+  }
   initLabels(groupCount());
 
   // Seed the position index (everyone starts unsettled) and keep both probe
@@ -44,19 +48,29 @@ std::uint64_t GeneralAsyncDispersion::agentBits(AgentIx a) const {
   // orderGoHome, needRegister, needReport, reportEmpty, reportGuest) +
   // 12 ports (tree record: parent + 3 child-chain; blackboard: checked,
   // nextFound; orders: probe, guestGoTo, chaperone, escort, follow; guest
-  // entry) + 6 counters (probe/guest/see-off blackboard).
-  std::uint64_t bits = widths_.id + 2ULL * widths_.count + 7 +
-                       12ULL * widths_.port + 6ULL * widths_.count;
-  for (const auto& g : groups_) {
-    if (g.leader == a) bits += 2ULL * widths_.count + widths_.port;
-  }
-  return bits;
+  // entry) + 6 counters (probe/guest/see-off blackboard), plus a leadership
+  // record (two size counters + head port) per group whose leader field is
+  // `a` — counted by ledGroups_ instead of a scan of all groups.
+  return widths_.id + 2ULL * widths_.count + 7 + 12ULL * widths_.port +
+         6ULL * widths_.count + ledGroups_[a] * (2ULL * widths_.count + widths_.port);
 }
 
 void GeneralAsyncDispersion::recordMemory() {
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
+  // As in general_sync: an agent's bits rise only when it gains a group to
+  // lead, so after one full flush only the agents marked then (memoryDirty_)
+  // can raise their high-water mark.
+  if (!memoryPrimed_) {
+    for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
+      engine_.memory().record(a, agentBits(a));
+    }
+    memoryPrimed_ = true;
+    memoryDirty_.clear();
+    return;
+  }
+  for (const AgentIx a : memoryDirty_) {
     engine_.memory().record(a, agentBits(a));
   }
+  memoryDirty_.clear();
 }
 
 // ------------------------------------------------------------- helpers
@@ -134,7 +148,10 @@ void GeneralAsyncDispersion::dormantDuties(AgentIx self) {
       return st_[a].label == ctx.label && !st_[a].settled;
     });
     DISP_CHECK(fresh != kNoAgent, "no co-located candidate for leader handoff");
+    --ledGroups_[ctx.leader];
     ctx.leader = fresh;
+    ++ledGroups_[fresh];
+    memoryDirty_.push_back(fresh);  // bits rose; flushed by next recordMemory
     leadQueued_[fresh] = gi;
     engine_.wake(fresh);
     anchorOf_[self] = kNoGroup;

@@ -166,6 +166,13 @@ class GeneralAsyncDispersion : public KsSubsumption<GeneralAsyncDispersion>,
   std::vector<std::uint32_t> leadQueued_;
   // Per-agent: group this settled ex-leader anchors, if any.
   std::vector<std::uint32_t> anchorOf_;
+
+  // Memory flush in O(dirty), as in general_sync: ledGroups_ counts the
+  // groups whose leader field is each agent and is kept at the handoff,
+  // the one site after initGroups() that changes a leader field.
+  std::vector<std::uint32_t> ledGroups_;
+  std::vector<AgentIx> memoryDirty_;  // agents whose bits rose since flush
+  bool memoryPrimed_ = false;         // first recordMemory() ran (all k)
 };
 
 }  // namespace disp
