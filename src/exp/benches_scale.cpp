@@ -78,8 +78,7 @@ void benchTable1Scale(BenchContext& ctx) {
     }
     emitTable(ctx, name, "family: " + family, t);
     if (ks.size() >= 2) {
-      emitNote(ctx, name, "fit",
-               growthDiagnosisLine(family + "/RootedSync@scale", ks, ours));
+      emitFit(ctx, name, growthDiagnosisLine(family + "/RootedSync@scale", ks, ours));
     }
   }
 }

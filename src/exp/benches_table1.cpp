@@ -63,8 +63,7 @@ void benchTable1SyncRooted(BenchContext& ctx) {
     }
     emitTable(ctx, name, "family: " + family, t);
     if (ks.size() >= 2) {
-      emitNote(ctx, name, "fit",
-               growthDiagnosisLine(family + "/RootedSync", ks, ours));
+      emitFit(ctx, name, growthDiagnosisLine(family + "/RootedSync", ks, ours));
     }
   }
 }
@@ -118,8 +117,7 @@ void benchTable1AsyncRooted(BenchContext& ctx) {
     }
     emitTable(ctx, name, "family: " + family, t);
     if (ks.size() >= 2) {
-      emitNote(ctx, name, "fit",
-               growthDiagnosisLine(family + "/RootedAsync", ks, ours));
+      emitFit(ctx, name, growthDiagnosisLine(family + "/RootedAsync", ks, ours));
     }
   }
 }
@@ -217,8 +215,7 @@ void benchTable1AsyncGeneral(BenchContext& ctx) {
   }
   emitTable(ctx, name, "ASYNC general dispersion under schedulers", t);
   if (ks.size() >= 2) {
-    emitNote(ctx, name, "fit",
-             growthDiagnosisLine("er/GeneralAsync(l=4)", ks, es));
+    emitFit(ctx, name, growthDiagnosisLine("er/GeneralAsync(l=4)", ks, es));
   }
 }
 

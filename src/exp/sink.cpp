@@ -46,6 +46,11 @@ void emitNote(BenchContext& ctx, const std::string& sweep, const std::string& fi
   if (ctx.jsonl) ctx.jsonl->record({{"sweep", sweep}, {field, line}});
 }
 
+void emitFit(BenchContext& ctx, const std::string& sweep, const std::string& line) {
+  if (ctx.batch.shardCount > 1) return;
+  emitNote(ctx, sweep, "fit", line);
+}
+
 void timeCell(Table& t, const Cell& c) {
   if (c.replicates.size() == 1) {
     t.cell(c.first().run.time);

@@ -78,10 +78,15 @@ struct BenchContext {
 void emitTable(BenchContext& ctx, const std::string& sweep, const std::string& title,
                const Table& t);
 
-/// Prints a diagnostic line (fit lines, warnings) and mirrors it to JSONL
+/// Prints a diagnostic line (warnings, notes) and mirrors it to JSONL
 /// under the given field name.
 void emitNote(BenchContext& ctx, const std::string& sweep, const std::string& field,
               const std::string& line);
+
+/// emitNote under the "fit" field, for a growth fit over the sweep's cells
+/// — except in a sharded run, which writes none: a fit over one shard's
+/// cells is not the sweep's fit.  Fits come only from unsharded runs.
+void emitFit(BenchContext& ctx, const std::string& sweep, const std::string& line);
 
 /// Adds the time cell for an aggregated sweep cell: the exact integer for a
 /// single replicate (historical format), the mean otherwise.

@@ -683,6 +683,37 @@ TEST(MergeE2E, ScaleRealShardsMergeToTheUnshardedRun) {
   EXPECT_EQ(factRows(dir + "/merged.jsonl"), want);
 }
 
+TEST(MergeE2E, ShardedRunsWriteNoFitNotes) {
+  const std::string dir = testDir("fits");
+  // A growth fit over one shard's cells is not the sweep's fit, so only
+  // the unsharded run writes one; the merged shards hold the same cells
+  // and no fit row.
+  const std::string run =
+      std::string(DISP_BENCH_BIN) + " table1_async_general --stream-cells";
+  const auto runInto = [&](const std::string& jsonl, const std::string& shard) {
+    return exitCode(run + shard + " --jsonl=" + jsonl + " > " + jsonl + ".out 2>&1");
+  };
+  const auto fitRows = [](const std::string& path) {
+    std::size_t fits = 0;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (!line.empty() && member(JsonValue::parse(line), "fit") != nullptr) ++fits;
+    }
+    return fits;
+  };
+  ASSERT_EQ(runInto(dir + "/ref.jsonl", ""), 0) << slurp(dir + "/ref.jsonl.out");
+  ASSERT_EQ(runInto(dir + "/shard0.jsonl", " --shard=0/2"), 0);
+  ASSERT_EQ(runInto(dir + "/shard1.jsonl", " --shard=1/2"), 0);
+  ASSERT_EQ(mergeShards(dir), 0) << slurp(dir + "/merge.err");
+  EXPECT_EQ(fitRows(dir + "/ref.jsonl"), 1u);
+  EXPECT_EQ(fitRows(dir + "/shard0.jsonl"), 0u);
+  EXPECT_EQ(fitRows(dir + "/shard1.jsonl"), 0u);
+  EXPECT_EQ(fitRows(dir + "/merged.jsonl"), 0u);
+  EXPECT_FALSE(cellRows(dir + "/ref.jsonl").empty());
+  EXPECT_EQ(cellRows(dir + "/merged.jsonl"), cellRows(dir + "/ref.jsonl"));
+}
+
 TEST(MergeE2E, RefusesDivergenceOverlapAndUnknownFlags) {
   const std::string dir = testDir("merge_cli");
   const std::string bench(DISP_BENCH_BIN);
