@@ -300,11 +300,10 @@ void OscillatorSystem::advance(Osc& osc) const {
 }
 
 #ifndef NDEBUG
-void OscillatorSystem::checkCatchUp(Osc before, NodeId at, Port pin, bool duty,
+void OscillatorSystem::checkCatchUp(Osc sim, NodeId at, Port pin, bool duty,
                                     std::uint64_t hooks, const Osc& after,
                                     std::uint64_t hops) const {
   const Graph& g = engine_.graph();
-  Osc& sim = before;
   std::uint64_t replayed = 0;
   for (std::uint64_t h = 0; h < hooks; ++h) {
     if (sim.planIx >= sim.plan.size()) {
@@ -337,15 +336,12 @@ void OscillatorSystem::checkCatchUp(Osc before, NodeId at, Port pin, bool duty,
 
 void OscillatorSystem::catchUpNode(NodeId v) {
   for (std::uint32_t id = routeHead_[v]; id != kNoLink; id = linkAt(id).next) {
-    Osc& osc = oscs_[ixOf_[id / kRouteSlots]];
-    if (osc.syncedTo != engine_.round()) advance(osc);
+    sync(oscs_[ixOf_[id / kRouteSlots]]);
   }
 }
 
 void OscillatorSystem::catchUpAll() {
-  for (Osc& osc : oscs_) {
-    if (osc.syncedTo != engine_.round()) advance(osc);
-  }
+  for (Osc& osc : oscs_) sync(osc);
 }
 
 void OscillatorSystem::indexRoute(Osc& osc) {

@@ -154,7 +154,10 @@ class OscillatorSystem final : private DeferredMover {
   void syncAgent(AgentIx agent) const {
     if (world_ == nullptr) return;
     const AgentIx ix = ixOf_[agent];
-    if (ix != kNoAgent && oscs_[ix].syncedTo != engine_.round()) advance(oscs_[ix]);
+    if (ix != kNoAgent) sync(oscs_[ix]);
+  }
+  void sync(Osc& osc) const {
+    if (osc.syncedTo != engine_.round()) advance(osc);
   }
   /// Applies the round hooks since osc.syncedTo in closed form.
   void advance(Osc& osc) const;
@@ -167,9 +170,10 @@ class OscillatorSystem final : private DeferredMover {
     return oscs_[ixOf_[id / kRouteSlots]].route[id % kRouteSlots];
   }
 #ifndef NDEBUG
-  /// Replays `hooks` round hooks of `before` hop by hop with the eager
+  /// Replays `hooks` round hooks of `sim` (a copy of the oscillator before
+  /// the catch-up, standing on `at` with `pin`) hop by hop with the eager
   /// stepper's rules and requires the catch-up's result `after`.
-  void checkCatchUp(Osc before, NodeId at, Port pin, bool duty, std::uint64_t hooks,
+  void checkCatchUp(Osc sim, NodeId at, Port pin, bool duty, std::uint64_t hooks,
                     const Osc& after, std::uint64_t hops) const;
 #endif
 
