@@ -143,6 +143,7 @@ class SyncEngine {
   /// and installs nothing, when an observer or a fault injector is
   /// installed: the mover must then stage its moves every round.  Call
   /// before run(), after installObserver() and installFaults().
+  /// Non-owning: `mover` must outlive every later read of the engine.
   [[nodiscard]] World* deferMoves(DeferredMover& mover);
 
   // --- orchestration ---
