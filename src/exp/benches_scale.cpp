@@ -107,11 +107,12 @@ void benchScaleReal(BenchContext& ctx) {
       ctx.ksOr({1u << 15, 1u << 16, 1u << 17, 1u << 18, 1u << 19, 1u << 20});
   const std::vector<std::string> placements = ctx.placementsOr({"spread"});
 
-  // Declared-state floor in MiB: the CSR (offsets/targets/reverse), the
-  // World's node and agent cells, and general_sync's per-agent state and
-  // per-group context (one group per agent under the default spread
-  // placement; under clustered overrides ℓ < k and the group term
-  // overcounts — the ratio is campaign telemetry either way).  What the
+  // Declared-state floor in MiB: the CSR (offsets, and one 8-byte
+  // {neighbor, reverse port} slot per half-edge), the World's node and
+  // agent cells, and general_sync's per-agent state and per-group context
+  // (one group per agent under the default spread placement; under
+  // clustered overrides ℓ < k and the group term overcounts — the ratio is
+  // campaign telemetry either way).  What the
   // 2x headroom in rss_ratio = peak_rss_mb / rss_lb_mb then gates is
   // everything *not* declared: fiber frames, occupancy views, the portTo
   // index, allocator slack — the overheads that would silently balloon if

@@ -2,11 +2,20 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "graph/labeling.hpp"
 #include "util/rng.hpp"
 
 namespace disp {
+
+namespace {
+
+// How many edges (rows pass) or slots (scatter) ahead the builder starts
+// loading the cache line it will write or read at random.
+constexpr std::size_t kPrefetchAhead = 16;
+
+}  // namespace
 
 Port Graph::portTo(NodeId v, NodeId u) const {
   const Port d = degree(v);
@@ -20,8 +29,8 @@ Port Graph::portTo(NodeId v, NodeId u) const {
           portIndexSlots_.data() + portIndexOffsets_[ix + 1];
       const std::uint32_t* slot = std::lower_bound(
           first, last, u,
-          [this](std::uint32_t s, NodeId t) { return targets_[s] < t; });
-      if (slot != last && targets_[*slot] == u) {
+          [this](std::uint32_t s, NodeId t) { return slots_[s].neighbor < t; });
+      if (slot != last && slots_[*slot].neighbor == u) {
         return static_cast<Port>(*slot - offsets_[v] + 1);
       }
       return kNoPort;
@@ -57,7 +66,7 @@ void Graph::buildPortToIndex() {
                        static_cast<std::ptrdiff_t>(portIndexOffsets_.back());
     std::sort(first, portIndexSlots_.end(),
               [this](std::uint32_t a, std::uint32_t b) {
-                return targets_[a] < targets_[b];
+                return slots_[a].neighbor < slots_[b].neighbor;
               });
     portIndexOffsets_.push_back(portIndexSlots_.size());
   }
@@ -82,23 +91,31 @@ GraphBuilder& GraphBuilder::addEdge(NodeId u, NodeId v) {
   return *this;
 }
 
-Graph GraphBuilder::build(PortLabeling labeling, std::uint64_t seed) const {
-  return assemble(labeling, seed, nullptr);
+Graph GraphBuilder::build(PortLabeling labeling, std::uint64_t seed) const& {
+  return GraphBuilder(*this).build(labeling, seed);
+}
+
+Graph GraphBuilder::build(PortLabeling labeling, std::uint64_t seed) && {
+  Graph g = rows();
+  // After the rows pass only Constrained's matching reads the edge list.
+  if (labeling != PortLabeling::Constrained) std::vector<Edge>().swap(edges_);
+  return label(std::move(g), labeling, seed, nullptr);
 }
 
 Graph GraphBuilder::buildWithPorts(const std::vector<std::pair<Port, Port>>& ports) const {
   DISP_REQUIRE(ports.size() == edges_.size(), "one port pair per edge required");
-  return assemble(PortLabeling::InsertionOrder, 0, &ports);
+  return label(rows(), PortLabeling::InsertionOrder, 0, &ports);
 }
 
-// Every pass is O(n + m).  Beside the edge list and the CSR, the only
-// per-edge array is `port`, one entry per slot (a slot is one end of an
-// edge); Constrained adds the per-edge pairs its matching returns.
-Graph GraphBuilder::assemble(PortLabeling labeling, std::uint64_t seed,
-                             const std::vector<std::pair<Port, Port>>* ports) const {
+// Every pass of rows() and label() is O(n + m).  Beside the edge list and
+// the CSR, the only per-edge array is label()'s `port`, one entry per slot
+// (a slot is one end of an edge); Constrained adds the per-edge pairs its
+// matching returns.
+Graph GraphBuilder::rows() const {
   const std::uint32_t n = n_;
+  const std::size_t m = edges_.size();
   Graph g;
-  g.edgeCount_ = edges_.size();
+  g.edgeCount_ = m;
 
   // Degrees, prefix-summed into row offsets.
   g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
@@ -110,41 +127,49 @@ Graph GraphBuilder::assemble(PortLabeling labeling, std::uint64_t seed,
     g.maxDegree_ = std::max(g.maxDegree_, g.offsets_[v + 1]);
     g.offsets_[v + 1] += g.offsets_[v];
   }
+
+  // Each row in insertion order (edge-list order, the order the labelings
+  // have always numbered a node's edges in); a slot's reversePort holds its
+  // twin, the slot of the same edge at the neighbor, until label().  The
+  // generators emit edges row by row, so the u side is written in order and
+  // the v side at random: its slot is loaded kPrefetchAhead edges early.
+  g.slots_.resize(2 * m);
+  std::vector<std::uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (i + kPrefetchAhead < m) {
+      __builtin_prefetch(g.slots_.data() + cursor[edges_[i + kPrefetchAhead].v], 1);
+    }
+    const Edge& e = edges_[i];
+    const std::uint32_t su = cursor[e.u]++;
+    const std::uint32_t sv = cursor[e.v]++;
+    g.slots_[su] = {e.v, sv};
+    g.slots_[sv] = {e.u, su};
+  }
+  return g;
+}
+
+Graph GraphBuilder::label(Graph g, PortLabeling labeling, std::uint64_t seed,
+                          const std::vector<std::pair<Port, Port>>* ports) const {
+  const std::uint32_t n = n_;
   const auto row = [&g](NodeId v) {
     return std::pair<std::uint32_t, std::uint32_t>{g.offsets_[v], g.offsets_[v + 1]};
   };
 
   {  // Scoped so the build's temporaries are freed before validation.
-    // Each row in insertion order (edge-list order, the order the labelings
-    // have always numbered a node's edges in).  Until the scatter below,
-    // reverse_ holds each slot's twin: the slot of the same edge at the
-    // neighbor.
-    g.targets_.resize(2 * edges_.size());
-    g.reverse_.resize(2 * edges_.size());
-    std::vector<std::uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-    for (const Edge& e : edges_) {
-      const std::uint32_t su = cursor[e.u]++;
-      const std::uint32_t sv = cursor[e.v]++;
-      g.targets_[su] = e.v;
-      g.targets_[sv] = e.u;
-      g.reverse_[su] = sv;
-      g.reverse_[sv] = su;
-    }
-
-    // Simple graph: no neighbor twice in a row.  `cursor` is done, so it
-    // becomes the stamp of the last row that saw each node.
-    std::vector<NodeId>& seenBy = cursor;
-    std::fill(seenBy.begin(), seenBy.end(), kInvalidNode);
+    // Simple graph: no neighbor twice in a row.  `seenBy` stamps each node
+    // with the last row that saw it.
+    std::vector<NodeId> seenBy(n, kInvalidNode);
     for (NodeId v = 0; v < n; ++v) {
       const auto [first, last] = row(v);
       for (std::uint32_t s = first; s < last; ++s) {
-        DISP_REQUIRE(seenBy[g.targets_[s]] != v, "duplicate edge (graph is simple)");
-        seenBy[g.targets_[s]] = v;
+        DISP_REQUIRE(seenBy[g.slots_[s].neighbor] != v,
+                     "duplicate edge (graph is simple)");
+        seenBy[g.slots_[s].neighbor] = v;
       }
     }
 
     // The port of every slot.
-    std::vector<Port> port(2 * edges_.size());
+    std::vector<Port> port(g.slots_.size());
     std::vector<std::pair<Port, Port>> constrained;
     if (ports == nullptr && labeling == PortLabeling::Constrained) {
       constrained = constrainedPorts(n, edges_, seed);
@@ -153,7 +178,7 @@ Graph GraphBuilder::assemble(PortLabeling labeling, std::uint64_t seed,
     if (ports != nullptr) {
       // Per-edge pairs land on the edge's two slots, found by replaying the
       // insertion-order cursors.
-      std::copy(g.offsets_.begin(), g.offsets_.end() - 1, cursor.begin());
+      std::vector<std::uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
       for (std::size_t i = 0; i < edges_.size(); ++i) {
         port[cursor[edges_[i].u]++] = (*ports)[i].first;
         port[cursor[edges_[i].v]++] = (*ports)[i].second;
@@ -173,22 +198,24 @@ Graph GraphBuilder::assemble(PortLabeling labeling, std::uint64_t seed,
     }
 
     // Scatter each row into port order.  The reverse port of a slot is the
-    // port of its twin.
-    std::vector<NodeId> rowTargets(g.maxDegree_);
-    std::vector<Port> rowReverse(g.maxDegree_);
+    // port of its twin, read at random: loaded kPrefetchAhead slots early
+    // (slots past the current row still hold their twins).
+    std::vector<Graph::Slot> rowSlots(g.maxDegree_);
+    const std::size_t slotCount = g.slots_.size();
     for (NodeId v = 0; v < n; ++v) {
       const auto [first, last] = row(v);
       const Port d = last - first;
-      std::fill_n(rowTargets.begin(), d, kInvalidNode);
+      for (Port i = 0; i < d; ++i) rowSlots[i].neighbor = kInvalidNode;
       for (std::uint32_t s = first; s < last; ++s) {
+        if (s + kPrefetchAhead < slotCount) {
+          __builtin_prefetch(port.data() + g.slots_[s + kPrefetchAhead].reversePort);
+        }
         const Port p = port[s];
         DISP_REQUIRE(p >= 1 && p <= d, "explicit port out of range");
-        DISP_REQUIRE(rowTargets[p - 1] == kInvalidNode, "explicit ports collide");
-        rowTargets[p - 1] = g.targets_[s];
-        rowReverse[p - 1] = port[g.reverse_[s]];
+        DISP_REQUIRE(rowSlots[p - 1].neighbor == kInvalidNode, "explicit ports collide");
+        rowSlots[p - 1] = {g.slots_[s].neighbor, port[g.slots_[s].reversePort]};
       }
-      std::copy_n(rowTargets.begin(), d, g.targets_.begin() + first);
-      std::copy_n(rowReverse.begin(), d, g.reverse_.begin() + first);
+      std::copy_n(rowSlots.begin(), d, g.slots_.begin() + first);
     }
   }
 
@@ -221,8 +248,7 @@ void TwoPassBuilder::beginEdges() {
     g_.offsets_[v + 1] += g_.offsets_[v];
   }
   g_.maxDegree_ = maxDeg;
-  g_.targets_.assign(2 * counted_, kInvalidNode);
-  g_.reverse_.assign(2 * counted_, kNoPort);
+  g_.slots_.assign(2 * counted_, {kInvalidNode, kNoPort});
   cursor_.assign(g_.offsets_.begin(), g_.offsets_.end() - 1);
 }
 
@@ -232,10 +258,8 @@ void TwoPassBuilder::addEdge(NodeId u, NodeId v) {
   const std::uint32_t sv = cursor_[v]++;
   DISP_REQUIRE(su < g_.offsets_[u + 1] && sv < g_.offsets_[v + 1],
                "pass-two edge stream diverged from pass one");
-  g_.targets_[su] = v;
-  g_.targets_[sv] = u;
-  g_.reverse_[su] = sv - g_.offsets_[v] + 1;
-  g_.reverse_[sv] = su - g_.offsets_[u] + 1;
+  g_.slots_[su] = {v, sv - g_.offsets_[v] + 1};
+  g_.slots_[sv] = {u, su - g_.offsets_[u] + 1};
   ++added_;
 }
 

@@ -6,11 +6,14 @@
 // locally distinct port numbers 1..δ_v on the incident edges.  NodeId exists
 // purely as engine bookkeeping; protocol code never branches on it.
 //
-// Storage is CSR: neighbor(v, p) is an O(1) lookup, and reversePort(v, p)
-// precomputes p_u(v) so the engine can set an arriving agent's `pin`.
+// Storage is CSR with one 8-byte slot per half-edge: the slot of port p at
+// v holds neighbor(v, p) and the precomputed reversePort(v, p) = p_u(v), so
+// the engine sets an arriving agent's `pin` from the cache line it read the
+// neighbor from.
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -35,7 +38,55 @@ class GraphBuilder;
 class TwoPassBuilder;
 
 class Graph {
+  /// One half-edge: port p at v leads to `neighbor`, which the agent enters
+  /// through its port `reversePort`.
+  struct Slot {
+    NodeId neighbor;
+    Port reversePort;
+  };
+
  public:
+  /// The neighbor fields of one row in port order: neighbors(v)[p - 1] is
+  /// neighbor(v, p).
+  class NeighborView {
+   public:
+    class Iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = NodeId;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const NodeId*;
+      using reference = const NodeId&;
+
+      Iterator() = default;
+      explicit Iterator(const Slot* at) : at_(at) {}
+      reference operator*() const { return at_->neighbor; }
+      Iterator& operator++() {
+        ++at_;
+        return *this;
+      }
+      Iterator operator++(int) {
+        const Iterator old = *this;
+        ++at_;
+        return old;
+      }
+      bool operator==(const Iterator&) const = default;
+
+     private:
+      const Slot* at_ = nullptr;
+    };
+
+    NeighborView(const Slot* first, std::size_t size) : first_(first), size_(size) {}
+    [[nodiscard]] Iterator begin() const { return Iterator(first_); }
+    [[nodiscard]] Iterator end() const { return Iterator(first_ + size_); }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] NodeId operator[](std::size_t i) const { return first_[i].neighbor; }
+
+   private:
+    const Slot* first_;
+    std::size_t size_;
+  };
+
   Graph() = default;
 
   [[nodiscard]] std::uint32_t nodeCount() const noexcept {
@@ -54,20 +105,27 @@ class Graph {
   [[nodiscard]] NodeId neighbor(NodeId v, Port p) const {
     DISP_DCHECK(v < nodeCount(), "node out of range");
     DISP_DCHECK(p >= 1 && p <= degree(v), "port out of range");
-    return targets_[offsets_[v] + p - 1];
+    return slots_[offsets_[v] + p - 1].neighbor;
   }
 
   /// The port at neighbor(v, p) that leads back to v, i.e. p_u(v).
   [[nodiscard]] Port reversePort(NodeId v, Port p) const {
     DISP_DCHECK(v < nodeCount(), "node out of range");
     DISP_DCHECK(p >= 1 && p <= degree(v), "port out of range");
-    return reverse_[offsets_[v] + p - 1];
+    return slots_[offsets_[v] + p - 1].reversePort;
   }
 
   /// All neighbors of v in port order (port p = index + 1).
-  [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const {
+  [[nodiscard]] NeighborView neighbors(NodeId v) const {
     DISP_DCHECK(v < nodeCount(), "node out of range");
-    return {targets_.data() + offsets_[v], static_cast<std::size_t>(degree(v))};
+    return {slots_.data() + offsets_[v], static_cast<std::size_t>(degree(v))};
+  }
+
+  /// Starts loading v's row into cache.  For passes that know the rows they
+  /// will visit next and would otherwise wait on each one in turn.
+  void prefetchRow(NodeId v) const {
+    DISP_DCHECK(v < nodeCount(), "node out of range");
+    __builtin_prefetch(slots_.data() + offsets_[v]);
   }
 
   /// Port at v leading to u, or kNoPort if not adjacent.  O(δ_v) linear
@@ -90,13 +148,12 @@ class Graph {
   void buildPortToIndex();
 
   std::vector<std::uint32_t> offsets_;  // size n+1
-  std::vector<NodeId> targets_;         // size 2m, port-ordered
-  std::vector<Port> reverse_;           // size 2m
+  std::vector<Slot> slots_;             // size 2m, port-ordered
   std::uint64_t edgeCount_ = 0;
   Port maxDegree_ = 0;
   // portTo fast path: for each node with degree > kPortToIndexThreshold (in
   // ascending NodeId order), the global CSR slot indices of its row sorted
-  // by target id.  Empty on low-degree graphs — zero overhead there.
+  // by neighbor id.  Empty on low-degree graphs — zero overhead there.
   std::vector<NodeId> portIndexNodes_;
   std::vector<std::uint64_t> portIndexOffsets_;   // size portIndexNodes_+1
   std::vector<std::uint32_t> portIndexSlots_;
@@ -123,9 +180,15 @@ class GraphBuilder {
   /// Materializes the CSR graph with the requested labeling. `seed` drives
   /// the permutations for RandomPermutation / Constrained.  Throws
   /// std::invalid_argument on a duplicate edge, or when the graph admits no
-  /// Constrained labeling.
+  /// Constrained labeling.  Builds from a copy of the edge list.
   [[nodiscard]] Graph build(PortLabeling labeling = PortLabeling::InsertionOrder,
-                            std::uint64_t seed = 0) const;
+                            std::uint64_t seed = 0) const&;
+
+  /// The same graph, consuming the builder: the edge list is freed as soon
+  /// as the CSR rows hold it, before the per-slot port array is allocated
+  /// (Constrained keeps it for its matching).
+  [[nodiscard]] Graph build(PortLabeling labeling = PortLabeling::InsertionOrder,
+                            std::uint64_t seed = 0) &&;
 
   /// Materializes the CSR graph with explicit ports: ports[i] = (port at
   /// edges()[i].u, port at edges()[i].v).  Ports must form the permutation
@@ -136,11 +199,15 @@ class GraphBuilder {
       const std::vector<std::pair<Port, Port>>& ports) const;
 
  private:
-  /// The one construction core behind build and buildWithPorts.  Explicit
-  /// `ports` (one pair per edge) take the place of `labeling` when given.
-  [[nodiscard]] Graph assemble(
-      PortLabeling labeling, std::uint64_t seed,
-      const std::vector<std::pair<Port, Port>>* ports) const;
+  // The two halves of every build.  rows() lays out each node's row in
+  // insertion order, with each slot's twin in its reversePort field;
+  // label() gives every slot its port, sorts each row into port order and
+  // validates.  Explicit `ports` (one pair per edge) take the place of
+  // `labeling` when given.  label() reads the edge list only for explicit
+  // or Constrained ports.
+  [[nodiscard]] Graph rows() const;
+  [[nodiscard]] Graph label(Graph g, PortLabeling labeling, std::uint64_t seed,
+                            const std::vector<std::pair<Port, Port>>* ports) const;
 
   std::uint32_t n_;
   std::vector<Edge> edges_;
@@ -148,11 +215,11 @@ class GraphBuilder {
 
 /// Degree-counting two-pass CSR builder for web-scale ingest: stream the
 /// edge list twice — countEdge() for every edge, beginEdges(), then
-/// addEdge() for the same edges — and the builder emits offsets_/targets_/
-/// reverse_ directly with insertion-order ports.  No intermediate edge
-/// vector: peak transient memory is the CSR itself plus one u32 cursor per
-/// node, versus GraphBuilder's ~2x (its edge vector and per-slot port array
-/// on top of the CSR).
+/// addEdge() for the same edges — and the builder emits offsets_/slots_
+/// directly with insertion-order ports.  No intermediate edge vector: peak
+/// transient memory is the CSR itself plus one u32 cursor per node, versus
+/// about 1.5x the CSR for a consuming GraphBuilder::build (the CSR beside
+/// the edge list during its rows pass, then beside its per-slot port array).
 ///
 /// Produces bit-identically the graph GraphBuilder::build(InsertionOrder)
 /// produces for the same edge sequence (a port is the per-node arrival

@@ -1,7 +1,6 @@
 #include "graph/graph_algos.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <stack>
 
 #include "util/check.hpp"
@@ -10,17 +9,22 @@ namespace disp {
 
 std::vector<std::uint32_t> bfsDistances(const Graph& g, NodeId src) {
   DISP_REQUIRE(src < g.nodeCount(), "source out of range");
+  // How many queue entries ahead a row starts loading: on a graph beyond
+  // the cache every dequeued row is a miss, and the queue already names
+  // the rows that come next.
+  constexpr std::size_t kRowsAhead = 4;
   std::vector<std::uint32_t> dist(g.nodeCount(), kUnreachable);
-  std::queue<NodeId> q;
+  std::vector<NodeId> queue;
+  queue.reserve(g.nodeCount());
   dist[src] = 0;
-  q.push(src);
-  while (!q.empty()) {
-    const NodeId v = q.front();
-    q.pop();
+  queue.push_back(src);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    if (head + kRowsAhead < queue.size()) g.prefetchRow(queue[head + kRowsAhead]);
+    const NodeId v = queue[head];
     for (const NodeId u : g.neighbors(v)) {
       if (dist[u] == kUnreachable) {
         dist[u] = dist[v] + 1;
-        q.push(u);
+        queue.push_back(u);
       }
     }
   }

@@ -232,6 +232,58 @@ TEST(GraphBuild, GoldenCsrHashes) {
   EXPECT_EQ(csrHash(readGraph(ss)), 0xc019c0c5fa865e1dULL);
 }
 
+// A const& build copies the edge list and leaves the builder whole; a
+// consuming build frees the list after the rows pass (Constrained keeps it
+// for its matching).  Both must give the golden graph, and the consuming
+// one must still reject what the copying one rejects.
+TEST(GraphBuild, CopyingAndConsumingBuildsAgree) {
+  const PortLabeling labelings[] = {PortLabeling::InsertionOrder,
+                                    PortLabeling::RandomPermutation,
+                                    PortLabeling::Constrained};
+  const std::set<std::pair<std::string, std::uint32_t>> picked{
+      {"er", 800}, {"ba", 1000}, {"lollipop", 300}, {"wheel", 50}};
+  for (const GoldenFamily& f : kGoldenFamilies) {
+    if (picked.count({f.spec, f.n}) == 0) continue;
+    const GraphSpec spec = GraphSpec::parse(f.spec);
+    for (int l = 0; l < 3; ++l) {
+      SCOPED_TRACE(std::string(f.spec) + " labeling=" + std::to_string(l));
+      const std::uint64_t seed = 1;
+      GraphBuilder b = graphFamilyDef(spec.family()).make(spec, f.n, seed);
+      const std::size_t edgeCount = b.edges().size();
+      const std::uint64_t want = f.hash[2 * l];
+      if (want == kNoLabeling) {
+        EXPECT_THROW((void)b.build(labelings[l], seed), std::invalid_argument);
+        EXPECT_THROW((void)std::move(b).build(labelings[l], seed), std::invalid_argument);
+        continue;
+      }
+      EXPECT_EQ(csrHash(b.build(labelings[l], seed)), want);
+      EXPECT_EQ(csrHash(b.build(labelings[l], seed)), want);
+      EXPECT_EQ(b.edges().size(), edgeCount);
+      EXPECT_EQ(csrHash(std::move(b).build(labelings[l], seed)), want);
+    }
+  }
+
+  // The consuming build checks for duplicates after freeing the list.
+  for (const PortLabeling l : labelings) {
+    GraphBuilder dup(5);
+    dup.addEdge(0, 1).addEdge(0, 2).addEdge(0, 3).addEdge(0, 4).addEdge(2, 0);
+    expectParseError([&] { (void)std::move(dup).build(l, 3); },
+                     "duplicate edge (graph is simple)");
+  }
+
+  // Explicit ports never take the consuming path: after copying builds the
+  // builder still holds every edge, and buildWithPorts rejects bad ports.
+  GraphBuilder path(3);
+  path.addEdge(0, 1).addEdge(1, 2);
+  (void)path.build();
+  (void)path.build(PortLabeling::RandomPermutation, 3);
+  expectParseError([&] { (void)path.buildWithPorts({{1, 3}, {1, 1}}); },
+                   "explicit port out of range");
+  expectParseError([&] { (void)path.buildWithPorts({{1, 2}, {2, 1}}); },
+                   "explicit ports collide");
+  EXPECT_EQ(path.buildWithPorts({{1, 2}, {1, 1}}).reversePort(0, 1), 2u);
+}
+
 TEST(GraphBuild, ValidateRejectsParallelEdges) {
   // TwoPassBuilder leaves duplicate rejection to its callers, so it can
   // hand validateGraph a multigraph.
