@@ -65,6 +65,10 @@ int runMerge(const disp::Cli& cli) {
       return 2;
     }
   }
+  if (cli.bare("out")) {
+    std::cerr << "error: --out wants a path: --out=PATH\n";
+    return 2;
+  }
   const std::string out = cli.str("out", "");
   const std::vector<std::string> files(cli.positional().begin() + 1,
                                        cli.positional().end());

@@ -137,6 +137,12 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
       return 2;
     }
   }
+  for (const char* flag : {"jsonl", "trace", "trajectory"}) {
+    if (cli.bare(flag)) {
+      std::cerr << "error: --" << flag << " wants a path: --" << flag << "=PATH\n";
+      return 2;
+    }
+  }
 
   std::unique_ptr<std::ofstream> jsonlFile;
   std::unique_ptr<JsonlWriter> jsonl;

@@ -18,6 +18,11 @@ Cli::Cli(int argc, const char* const* argv) {
                                     "': expected --name or --name=value");
       }
       flags_[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
+      if (eq == std::string::npos) {
+        bare_.insert(key);
+      } else {
+        bare_.erase(key);
+      }
     } else {
       positional_.push_back(std::move(arg));
     }
@@ -25,6 +30,8 @@ Cli::Cli(int argc, const char* const* argv) {
 }
 
 bool Cli::has(const std::string& key) const { return flags_.count(key) > 0; }
+
+bool Cli::bare(const std::string& key) const { return bare_.count(key) > 0; }
 
 std::string Cli::str(const std::string& key, const std::string& fallback) const {
   const auto it = flags_.find(key);

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,9 @@ class Cli {
   Cli(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& key) const;
+  /// True when the flag was given bare, as `--key` with no `=value`.  A
+  /// caller whose flag names a file rejects that, since the value reads "1".
+  [[nodiscard]] bool bare(const std::string& key) const;
   [[nodiscard]] std::string str(const std::string& key, const std::string& fallback) const;
   /// Strict full-token signed integer ("-12" ok; "4x", " 4", "+4" throw).
   [[nodiscard]] std::int64_t integer(const std::string& key, std::int64_t fallback) const;
@@ -37,6 +41,7 @@ class Cli {
 
  private:
   std::map<std::string, std::string> flags_;
+  std::set<std::string> bare_;
   std::vector<std::string> positional_;
 };
 

@@ -503,6 +503,42 @@ TEST(RunBenches, StreamCellsWithoutJsonlIsAUsageError) {
   EXPECT_NE(r.err.find("--stream-cells wants --jsonl=PATH"), std::string::npos) << r.err;
 }
 
+/// Runs the rest of a test inside a fresh directory of its own, so a test
+/// can see every file a run leaves in the working directory.
+struct InFreshDirectory {
+  std::filesystem::path dir;
+  std::filesystem::path saved = std::filesystem::current_path();
+  explicit InFreshDirectory(const std::string& stem) : dir(processTempPath(stem)) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::filesystem::current_path(dir);
+  }
+  ~InFreshDirectory() {
+    std::filesystem::current_path(saved);
+    std::filesystem::remove_all(dir);
+  }
+};
+
+// A bare flag reads as "1", so a path flag given without =PATH would write
+// its stream to a file named `1`.  It must be a usage error that writes
+// nothing; an explicit `=1` still names the path `1`.
+TEST(RunBenches, PathFlagsWithoutAValueAreUsageErrors) {
+  const InFreshDirectory here("run_benches_bare_paths");
+  for (const std::string flag : {"jsonl", "trace", "trajectory"}) {
+    const BenchRun r = runBenchesWith({"trace_smoke"}, {"--threads=1", "--" + flag});
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_EQ(r.out, "") << flag;
+    EXPECT_NE(r.err.find("error: --" + flag + " wants a path: --" + flag + "=PATH\n"),
+              std::string::npos)
+        << r.err;
+    EXPECT_TRUE(std::filesystem::is_empty(here.dir)) << flag;
+  }
+  const BenchRun r = runBenchesWith({"trace_smoke"}, {"--threads=1", "--trace=1"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  ASSERT_TRUE(std::filesystem::exists(here.dir / "1"));
+  EXPECT_GT(std::filesystem::file_size(here.dir / "1"), 0u);
+}
+
 TEST(RunBenches, AcceptsEveryDocumentedFlag) {
   // --trace and --trajectory are mutually exclusive, so one run each.
   const std::string jsonl = processTempPath("run_benches_flags", ".jsonl");

@@ -756,6 +756,20 @@ TEST(MergeE2E, RefusesDivergenceOverlapAndUnknownFlags) {
   EXPECT_NE(slurp(dir + "/out.txt").find("merged 2 rows"), std::string::npos);
 }
 
+// A bare --out reads as "1": it must be a usage error, not a merge into a
+// file named `1` in the working directory.
+TEST(MergeE2E, OutWithoutAPathIsAUsageError) {
+  const std::string dir = testDir("bare_out");
+  writeFile(dir + "/a.jsonl", std::string(kRowB) + "\n");
+  EXPECT_EQ(exitCode("cd " + dir + " && " + DISP_BENCH_BIN +
+                     " merge --out a.jsonl > out.txt 2> err.txt"),
+            2);
+  EXPECT_NE(slurp(dir + "/err.txt").find("error: --out wants a path: --out=PATH"),
+            std::string::npos)
+      << slurp(dir + "/err.txt");
+  EXPECT_FALSE(fs::exists(dir + "/1"));
+}
+
 #endif  // DISP_BENCH_BIN
 
 }  // namespace
