@@ -334,10 +334,13 @@ Task RootedSyncDispersion::probeAt(NodeId w) {
 
   while (inHand_->checked < limit) {
     // Gather co-located seekers (ascending ID for determinism): walk the
-    // fixed ID-ordered seeker pool instead of sorting per iteration.
+    // fixed ID-ordered seeker pool instead of sorting per iteration, and
+    // stop once there is one for every port left to check.
+    const Port wanted = limit - inHand_->checked;
     std::vector<AgentIx>& seekers = probeSeekers_;
     seekers.clear();
     for (const AgentIx a : seekersById_) {
+      if (seekers.size() == wanted) break;
       if (!st_[a].settled && st_[a].role == Role::Seeker &&
           engine_.positionOf(a) == w) {
         seekers.push_back(a);
@@ -345,8 +348,7 @@ Task RootedSyncDispersion::probeAt(NodeId w) {
     }
     DISP_CHECK(!seekers.empty(), "probe without seekers");
 
-    const Port delta = static_cast<Port>(std::min<std::uint32_t>(
-        static_cast<std::uint32_t>(seekers.size()), limit - inHand_->checked));
+    const auto delta = static_cast<Port>(seekers.size());
     ++stats_.probeIterations;
 
     // Move out: seeker i takes port checked + 1 + i.
