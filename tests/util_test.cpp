@@ -214,10 +214,20 @@ TEST(Cli, ParsesFlagsAndPositionals) {
   EXPECT_EQ(cli.integer("k", 0), 128);
   EXPECT_TRUE(cli.has("verbose"));
   EXPECT_FALSE(cli.has("quiet"));
+  EXPECT_TRUE(cli.bare("verbose"));
+  EXPECT_FALSE(cli.bare("k"));
+  EXPECT_FALSE(cli.bare("quiet"));
   EXPECT_DOUBLE_EQ(cli.real("ratio", 0.0), 0.5);
   EXPECT_EQ(cli.str("missing", "dflt"), "dflt");
   ASSERT_EQ(cli.positional().size(), 1u);
   EXPECT_EQ(cli.positional()[0], "input.g");
+
+  // The last occurrence of a flag decides whether it is bare.
+  const char* repeated[] = {"prog", "--trace", "--trace=1", "--jsonl=a", "--jsonl"};
+  const Cli again(5, repeated);
+  EXPECT_FALSE(again.bare("trace"));
+  EXPECT_EQ(again.str("trace", ""), "1");
+  EXPECT_TRUE(again.bare("jsonl"));
 }
 
 TEST(Cli, ParsesLists) {
