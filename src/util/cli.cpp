@@ -17,8 +17,9 @@ Cli::Cli(int argc, const char* const* argv) {
         throw std::invalid_argument("malformed flag '" + arg +
                                     "': expected --name or --name=value");
       }
-      flags_[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
-      if (eq == std::string::npos) {
+      const bool bare = eq == std::string::npos;
+      flags_[key] = bare ? "1" : arg.substr(eq + 1);
+      if (bare) {
         bare_.insert(key);
       } else {
         bare_.erase(key);
