@@ -513,9 +513,12 @@ struct InFreshDirectory {
     std::filesystem::create_directories(dir);
     std::filesystem::current_path(dir);
   }
+  InFreshDirectory(const InFreshDirectory&) = delete;
+  InFreshDirectory& operator=(const InFreshDirectory&) = delete;
   ~InFreshDirectory() {
-    std::filesystem::current_path(saved);
-    std::filesystem::remove_all(dir);
+    std::error_code ec;
+    std::filesystem::current_path(saved, ec);
+    std::filesystem::remove_all(dir, ec);
   }
 };
 
