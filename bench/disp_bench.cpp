@@ -5,11 +5,13 @@
 //   disp_bench all --threads=8 --jsonl=run.jsonl
 //   disp_bench table1_sync_rooted fig5_sync_probe --seeds=1,2,3,4,5
 //   disp_bench merge --out=all.jsonl shard0.jsonl shard1.jsonl
+//   disp_bench check trace.jsonl
 #include <iostream>
 
 #include "algo/registry.hpp"
 #include "exp/bench_registry.hpp"
 #include "exp/merge.hpp"
+#include "exp/sink.hpp"
 #include "graph/spec.hpp"
 #include "util/cli.hpp"
 
@@ -22,7 +24,8 @@ void printUsage(std::ostream& os) {
         "                  [--ks=a,b,c] [--faults=SPEC;SPEC] [--shard=I/N]\n"
         "                  [--stream-cells]\n"
         "                  <sweep>... | all\n"
-        "       disp_bench merge --out=PATH FILE...\n\n"
+        "       disp_bench merge --out=PATH FILE...\n"
+        "       disp_bench check TRACE.jsonl\n\n"
         "sweeps:\n";
   for (const auto& def : disp::exp::benchRegistry()) {
     os << "  " << def.name << (def.heavy ? "  (excluded from `all`)" : "")
@@ -30,8 +33,8 @@ void printUsage(std::ostream& os) {
   }
   os << "\n--seeds replicates add per-cell \"±95\" CI columns to the tables.\n"
         "--trace streams every run's typed events + sampled snapshots as\n"
-        "JSON-lines (cadence --sample=N; schema validated by\n"
-        "scripts/check_trace.sh).\n"
+        "JSON-lines (cadence --sample=N); `check` validates such a stream\n"
+        "against its schema and prints its per-kind event counts.\n"
         "--graphs/--placements override a sweep's workload axes with\n"
         "';'-separated spec strings — e.g.\n"
         "  --graphs='er:n=2048,p=0.01;file:roads.e'\n"
@@ -46,8 +49,8 @@ void printUsage(std::ostream& os) {
         "killed shard keeps what it finished.  `merge` joins shard JSONL\n"
         "files, refusing overlapping shards, torn lines and diverging facts\n"
         "(rerun a killed shard, then merge).\n"
-        "Exit codes: 0 ok, 1 sweep error or refused merge, 2 usage (an\n"
-        "unknown flag included).\n"
+        "Exit codes: 0 ok, 1 sweep error, refused merge or invalid trace,\n"
+        "2 usage (an unknown flag included).\n"
         "Algorithms are registry keys:\n";
   os << " ";
   for (const auto& key : disp::algorithmKeys()) os << " " << key;
@@ -89,21 +92,44 @@ int runMerge(const disp::Cli& cli) {
   return 0;
 }
 
+// The trace-stream checker (exp/sink.hpp): exit 0 valid, 1 invalid, 2 usage.
+int runCheck(const disp::Cli& cli) {
+  if (!cli.flags().empty()) {
+    std::cerr << "error: unknown flag --" << cli.flags().begin()->first
+              << " (check takes no flags)\n";
+    return 2;
+  }
+  if (cli.positional().size() != 2) {
+    std::cerr << "usage: disp_bench check TRACE.jsonl\n";
+    return 2;
+  }
+  const disp::exp::TraceCheck res = disp::exp::checkTraceJsonl(cli.positional()[1]);
+  if (!res.ok) {
+    std::cerr << "error: " << res.message << "\n";
+    return 1;
+  }
+  std::cout << res.message << "\n";
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const disp::Cli cli(argc, argv);
+    std::vector<std::string> names = cli.positional();
+    // The subcommands own their flags: `check --help bad.jsonl` is a usage
+    // error, not a usage page that exits 0 without checking anything.
+    if (!names.empty() && names[0] == "merge") return runMerge(cli);
+    if (!names.empty() && names[0] == "check") return runCheck(cli);
     if (cli.has("list") || cli.has("help")) {
       printUsage(std::cout);
       return 0;
     }
-    std::vector<std::string> names = cli.positional();
     if (names.empty()) {
       printUsage(std::cerr);
       return 2;
     }
-    if (names[0] == "merge") return runMerge(cli);
     if (names.size() == 1 && names[0] == "all") {
       names.clear();
       for (const auto& def : disp::exp::benchRegistry()) {

@@ -19,4 +19,14 @@ const char* traceEventKindName(TraceEventKind k) {
   return "?";
 }
 
+std::optional<TraceEventKind> traceEventKindFromName(std::string_view name) {
+  // The kinds are the enum's values from 0 up; the first unnamed one ends them.
+  for (std::uint8_t i = 0;; ++i) {
+    const auto kind = static_cast<TraceEventKind>(i);
+    const std::string_view known = traceEventKindName(kind);
+    if (known == "?") return std::nullopt;
+    if (known == name) return kind;
+  }
+}
+
 }  // namespace disp

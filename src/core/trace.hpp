@@ -21,7 +21,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "core/world.hpp"
@@ -69,9 +71,13 @@ enum class TraceEventKind : std::uint8_t {
 /// Label value for events outside any multi-tree context.
 inline constexpr std::uint32_t kNoTraceLabel = static_cast<std::uint32_t>(-1);
 
-/// Stable lowercase identifier ("move", "settle", ...) used by the JSONL
-/// trace schema and scripts/check_trace.sh.
+/// Stable lowercase identifier ("move", "settle", ...): the kind's one
+/// spelling, which the JSONL trace stream writes and `disp_bench check`
+/// reads back (exp/sink.hpp).  "?" for a value outside the enum.
 [[nodiscard]] const char* traceEventKindName(TraceEventKind k);
+
+/// The kind whose traceEventKindName is `name`; nullopt for any other string.
+[[nodiscard]] std::optional<TraceEventKind> traceEventKindFromName(std::string_view name);
 
 /// One trace record.  `time` is rounds committed so far (SYNC) or
 /// activations completed so far (ASYNC) at emission; events within one run

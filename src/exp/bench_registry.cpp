@@ -46,7 +46,7 @@ const std::vector<BenchDef>& benchRegistry() {
        &benchAblationScheduler},
       {"scale_real", "E19: web-scale ingest & peak-RSS campaign (n=10^6..10^7)",
        &benchScaleReal, /*heavy=*/true},
-      {"trace_smoke", "E16: tiny observed cells (drives --trace / check_trace.sh)",
+      {"trace_smoke", "E16: tiny observed cells (drives --trace / disp_bench check)",
        &benchTraceSmoke},
       {"scenario", "E17: ad-hoc workloads from --graphs/--placements/--ks specs",
        &benchScenario},

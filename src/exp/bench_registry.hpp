@@ -13,7 +13,7 @@
 //   --jsonl=PATH     mirror every table row / fit line as JSON-lines
 //   --trace=PATH     stream every run's typed trace events + sampled
 //                    snapshots as JSON-lines (schema in exp/sink.hpp,
-//                    validated by scripts/check_trace.sh)
+//                    validated by `disp_bench check PATH`)
 //   --trajectory=PATH  plotting-friendly settled/moves CSV time series
 //                    (one row per sampled snapshot; exclusive with --trace)
 //   --sample=N       snapshot cadence for --trace/--trajectory (default 1

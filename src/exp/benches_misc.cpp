@@ -124,8 +124,8 @@ void benchAblationScheduler(BenchContext& ctx) {
 
 // E16 — trace smoke: tiny cells covering both engines, the rooted and the
 // general (subsumption-heavy) protocols, so a `--trace` run of this suite
-// exercises every TraceEvent kind the library emits.  The CI gate pipes
-// the resulting JSONL through scripts/check_trace.sh.
+// exercises every TraceEvent kind the library emits.  The CI gate checks
+// the resulting JSONL with `disp_bench check`.
 void benchTraceSmoke(BenchContext& ctx) {
   const std::string name = "trace_smoke";
   ctx.out << "# E16: trace smoke — tiny observed cells (for --trace)\n";

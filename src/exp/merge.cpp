@@ -13,10 +13,6 @@ namespace disp::exp {
 
 namespace {
 
-const char* const kTelemetry[] = {
-    "load_ms", "peak_rss_mb", "rss_lb_mb", "rss_ratio",
-};
-
 const char* const kCoordinates[] = {
     "sweep", "table", "family", "graph", "file",  "k",
     "l",     "placement", "sched", "algo", "faults", "seed",
@@ -30,7 +26,7 @@ bool oneOf(const char* const (&columns)[N], const std::string& column) {
 struct ParsedRow {
   /// Coordinate columns present in the row, in (key, value) sorted order.
   std::vector<std::pair<std::string, std::string>> coords;
-  /// Non-telemetry columns, sorted by key — the fact comparison payload.
+  /// Every column, sorted by key — the comparison payload.
   std::vector<std::pair<std::string, std::string>> facts;
 };
 
@@ -42,7 +38,7 @@ ParsedRow flatten(const JsonValue& row) {
   for (const auto& [key, value] : row.members()) {
     const std::string rendered = value.isString() ? value.asString() : value.dump();
     if (oneOf(kCoordinates, key)) out.coords.emplace_back(key, rendered);
-    if (!oneOf(kTelemetry, key)) out.facts.emplace_back(key, rendered);
+    out.facts.emplace_back(key, rendered);
   }
   std::sort(out.coords.begin(), out.coords.end());
   std::sort(out.facts.begin(), out.facts.end());

@@ -2,24 +2,22 @@
 // The audited merge of shard JSONL outputs behind `disp_bench merge`.
 //
 // Rows are the self-describing dictionaries JsonlWriter emits.  Columns
-// split three ways (scripts/compare_bench_baseline.sh keeps its own copy
+// split two ways (scripts/compare_bench_baseline.sh keeps its own copy
 // of the identity columns):
 //
 //   coordinates — the keys that identify which cell a row describes
 //                 (sweep, table, family, graph, file, k, l, placement,
 //                 sched, algo, faults, seed)
-//   telemetry   — memory and load-time columns that may differ between
-//                 two runs of one cell (load_ms, peak_rss_mb, rss_lb_mb,
-//                 rss_ratio)
-//   facts       — everything else: deterministic simulation results
+//   facts       — everything else, compared column for column
 //
 // The shards of one sweep are disjoint (--shard=I/N), so every identity
-// must appear once.  A repeated identity whose facts agree column for
-// column is an error ("overlapping shards?"); one whose facts differ is a
-// *divergence* — the run was not deterministic or a file was corrupted —
-// reported with a cell-level diff.  Telemetry columns take no part in the
-// comparison.  A torn or non-JSON line (a shard killed mid-write) is an
-// error naming path:line: rerun that shard and merge again.
+// must appear once, and every repeat is an error.  A repeated row that is
+// identical column for column is reported as "overlapping shards?"; any
+// other repeat is a *divergence* — the run was not deterministic, a file
+// was corrupted, or two runs of one cell differ in a measured column such
+// as peak_rss_mb — reported with the first differing column.  A torn or
+// non-JSON line (a shard killed mid-write) is an error naming path:line:
+// rerun that shard and merge again.
 //
 // Rows whose only coordinates are sweep/table (fit lines, notes) use their
 // entire fact content as identity.
@@ -32,7 +30,7 @@ namespace disp::exp {
 
 struct Divergence {
   std::string identity;  ///< canonical coordinate identity of the cell
-  std::string column;    ///< first differing fact column
+  std::string column;    ///< first differing column
   std::string valueA, valueB;
   std::string whereA, whereB;  ///< "path:line" provenance
 };

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -105,13 +106,11 @@ void timeCellCi(Table& t, const Cell& c, bool ci);
 /// observe() hook matches BatchOptions::observe: each replicate gets an
 /// onEvent stream plus sampled snapshot rows, every line self-describing
 /// with the cell key and seed (concurrent replicates interleave by line,
-/// never within one).  Schema (all values JSON strings, validated by
-/// scripts/check_trace.sh):
-///   {"cell", "seed", "event": move|settle|meeting|subsume|collapse|freeze|
-///    oscillation_duty|fault_crash|fault_restart|fault_edge|fault_silent,
-///    "t", "agent", "node", "a", "b"}
-///   {"cell", "seed", "event": "sample", "t", "epochs", "settled", "moves"}
-/// "-" stands for no-agent / no-node / no-label fields.
+/// never within one).  Every value is a JSON string.  An event line carries
+/// one TraceEvent, its "event" the kind's traceEventKindName; a sample line
+/// carries one StepSnapshot under "event": "sample".  "-" stands for
+/// no-agent / no-node / no-label fields.  The two column lists are written
+/// once, in sink.cpp, where checkTraceJsonl reads them too.
 class TraceJsonl {
  public:
   /// Snapshot cadence per run: every `sampleEvery` rounds/activations.
@@ -126,6 +125,30 @@ class TraceJsonl {
   JsonlWriter writer_;
   std::uint64_t sampleEvery_;
 };
+
+/// Verdict of checkTraceJsonl on one trace stream.
+struct TraceCheck {
+  bool ok = false;
+  /// When ok, the summary "OK PATH: N streams, kind=count, ..." (kinds in
+  /// name order); otherwise the first violation, "PATH:LINE: why", or
+  /// "PATH: why" for a rule about the whole file.
+  std::string message;
+  /// Distinct (cell, seed) streams.
+  std::uint64_t streams = 0;
+  /// Lines per "event" value, "sample" included.
+  std::map<std::string, std::uint64_t> counts;
+};
+
+/// Checks a TraceJsonl stream (`disp_bench check PATH`).  Each line must
+/// be a JSON object of strings whose "event" is a TraceEventKind name or
+/// "sample" and whose keys are exactly that row's columns; the count columns hold a
+/// decimal or "-", and "t" and a sample's counts hold a decimal.  Within a
+/// (cell, seed) stream "t" never decreases and the settle - collapse
+/// balance never goes negative; a stream whose last line is a sample (the
+/// engines close every completed run with one) ends with "settled" equal
+/// to that balance.  The file must hold at least one move and one settle.
+/// Never throws on data problems; they land in the verdict.
+[[nodiscard]] TraceCheck checkTraceJsonl(const std::string& path);
 
 /// Plotting-friendly settled/moves trajectory sink (disp_bench
 /// --trajectory): one CSV row per sampled snapshot,

@@ -1,12 +1,17 @@
 // Tests for the src/exp/ experiment driver: sweep enumeration, the batch
 // runner's thread-count invariance (bit-identical cells for 1 vs 4+
 // workers), concurrent runSession calls on shared Graph instances, the
-// JSONL sink format, and runBenches' flag check.  The *Concurrent* and
+// JSONL sink format, runBenches' flag check, and the trace-stream checker
+// on real streams and one corrupted copy per rule.  The *Concurrent* and
 // *Parallel* tests are the TSan targets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -17,6 +22,7 @@
 #include "algo/runner.hpp"
 #include "exp/batch_runner.hpp"
 #include "exp/bench_registry.hpp"
+#include "exp/json.hpp"
 #include "exp/sink.hpp"
 #include "exp/sweep.hpp"
 #include "graph/generators.hpp"
@@ -558,6 +564,218 @@ TEST(RunBenches, AcceptsEveryDocumentedFlag) {
     EXPECT_NE(ran.out.find("# E17"), std::string::npos) << sink;
   }
   for (const std::string& path : {jsonl, trace, traj}) std::filesystem::remove(path);
+}
+
+// ------------------------------------------------------------ trace check
+
+/// Runs `sweep` in-process on one thread with `flags`, streaming its trace
+/// to a file of this process; returns the file's path.
+std::string writeTrace(const std::string& stem, const std::string& sweep,
+                       std::vector<std::string> flags) {
+  const std::string path = processTempPath(stem, ".jsonl");
+  flags.push_back("--threads=1");
+  flags.push_back("--trace=" + path);
+  const BenchRun r = runBenchesWith({sweep}, flags);
+  EXPECT_EQ(r.code, 0) << r.err;
+  return path;
+}
+
+std::vector<std::string> readLines(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << path;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+void writeLines(const std::string& path, const std::vector<std::string>& lines) {
+  std::ofstream out(path, std::ios::trunc);
+  ASSERT_TRUE(out) << path;
+  for (const std::string& line : lines) out << line << '\n';
+}
+
+/// The string value of `key` in the JSONL row `line`.
+std::string fieldOf(const std::string& line, const std::string& key) {
+  const JsonValue row = JsonValue::parse(line);
+  for (const auto& [k, value] : row.members()) {
+    if (k == key) return value.asString();
+  }
+  ADD_FAILURE() << "no " << key << " in " << line;
+  return "";
+}
+
+/// `line` with the string value of `key` replaced by the JSON text `json`.
+std::string withField(std::string line, const std::string& key, const std::string& json) {
+  const std::string tag = jsonQuote(key) + ": ";
+  const std::size_t start = line.find(tag) + tag.size();
+  const std::size_t end = line.find('"', start + 1) + 1;
+  return line.replace(start, end - start, json);
+}
+
+/// Index of the first line whose "event" is `event`.
+std::size_t firstEvent(const std::vector<std::string>& lines, const std::string& event) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (fieldOf(lines[i], "event") == event) return i;
+  }
+  ADD_FAILURE() << "no " << event << " line";
+  return 0;
+}
+
+TEST(TraceCheck, EveryKindRoundTripsThroughItsName) {
+  std::set<std::string> names;
+  std::uint8_t i = 0;
+  for (;; ++i) {
+    const auto kind = static_cast<TraceEventKind>(i);
+    const std::string name = traceEventKindName(kind);
+    if (name == "?") break;
+    EXPECT_EQ(traceEventKindFromName(name), kind) << name;
+    names.insert(name);
+  }
+  EXPECT_EQ(i, static_cast<std::uint8_t>(TraceEventKind::FaultSilent) + 1);
+  EXPECT_EQ(names.size(), std::size_t{i});
+  for (const char* other : {"sample", "?", "", "Move", "move "}) {
+    EXPECT_FALSE(traceEventKindFromName(other).has_value()) << other;
+  }
+}
+
+TEST(TraceCheck, AcceptsTheTraceSmokeStreams) {
+  for (const char* sample : {"--sample=1", "--sample=4"}) {
+    const std::string path = writeTrace("trace_check_smoke", "trace_smoke", {sample});
+    TraceCheck res = checkTraceJsonl(path);
+    EXPECT_TRUE(res.ok) << sample << ": " << res.message;
+    EXPECT_EQ(res.streams, 6u) << sample;
+    EXPECT_EQ(res.message.rfind("OK " + path + ": 6 streams, collapse=", 0), 0u)
+        << res.message;
+    std::uint64_t lines = 0;
+    for (const auto& [event, n] : res.counts) lines += n;
+    EXPECT_EQ(lines, readLines(path).size()) << sample;
+    // Both engines and the general protocols: every fault-free kind shows.
+    for (const TraceEventKind kind :
+         {TraceEventKind::Move, TraceEventKind::Settle, TraceEventKind::Meeting,
+          TraceEventKind::Subsume, TraceEventKind::Collapse, TraceEventKind::Freeze,
+          TraceEventKind::OscillationDuty}) {
+      EXPECT_GT(res.counts[traceEventKindName(kind)], 0u) << traceEventKindName(kind);
+    }
+    std::filesystem::remove(path);
+  }
+}
+
+TEST(TraceCheck, AcceptsTheFaultTraceWithEveryFaultKind) {
+  const std::string path = writeTrace(
+      "trace_check_faults", "faults",
+      {"--ks=8", "--faults=crash:rate=1,restart=16;churn:edges=2,every=16;silent:count=2",
+       "--sample=64"});
+  TraceCheck res = checkTraceJsonl(path);
+  EXPECT_TRUE(res.ok) << res.message;
+  EXPECT_EQ(res.streams, 18u);
+  for (const TraceEventKind kind : {TraceEventKind::FaultCrash, TraceEventKind::FaultRestart,
+                                    TraceEventKind::FaultEdge, TraceEventKind::FaultSilent}) {
+    EXPECT_GT(res.counts[traceEventKindName(kind)], 0u) << traceEventKindName(kind);
+  }
+  std::filesystem::remove(path);
+}
+
+// One corrupted copy of a valid stream per rule.  Each must be rejected
+// with the line at fault ("path:N: ..."), or the bare path for the rules
+// about the whole file.
+TEST(TraceCheck, RejectsOneCorruptedCopyPerRule) {
+  const std::string good = writeTrace("trace_check_good", "trace_smoke", {"--sample=4"});
+  const std::vector<std::string> lines = readLines(good);
+  std::filesystem::remove(good);
+  EXPECT_EQ(checkTraceJsonl(good).message, good + ": cannot open");
+  ASSERT_GT(lines.size(), 100u);
+  const std::size_t move = firstEvent(lines, "move");
+  const std::size_t sample = firstEvent(lines, "sample");
+  const std::size_t settle = firstEvent(lines, "settle");
+
+  // A line whose stream's previous line has t > 0, and the last line of
+  // the first stream (a sample: every run here completes).
+  std::size_t later = 0;
+  std::string earlierT;
+  std::map<std::string, std::size_t> last;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string stream = fieldOf(lines[i], "cell") + "/" + fieldOf(lines[i], "seed");
+    const auto it = last.find(stream);
+    if (later == 0 && it != last.end() && fieldOf(lines[it->second], "t") != "0") {
+      later = i;
+      earlierT = fieldOf(lines[it->second], "t");
+    }
+    last[stream] = i;
+  }
+  ASSERT_NE(later, 0u);
+  const std::size_t closing =
+      last[fieldOf(lines[0], "cell") + "/" + fieldOf(lines[0], "seed")];
+  ASSERT_EQ(fieldOf(lines[closing], "event"), "sample");
+
+  struct Case {
+    const char* rule;
+    std::vector<std::string> lines;
+    std::size_t line;  ///< 1-based line at fault; 0 for a whole-file rule
+    const char* why;
+  };
+  const auto edit = [&lines](std::size_t i, std::string text) {
+    std::vector<std::string> out = lines;
+    out[i] = std::move(text);
+    return out;
+  };
+  const auto without = [&lines](std::initializer_list<const char*> events) {
+    std::vector<std::string> out;
+    for (const std::string& line : lines) {
+      const std::string event = fieldOf(line, "event");
+      if (std::find(events.begin(), events.end(), event) == events.end()) {
+        out.push_back(line);
+      }
+    }
+    return out;
+  };
+  std::string extra = lines[sample];
+  extra.insert(extra.size() - 1, ", \"extra\": \"1\"");
+  const std::string settled = fieldOf(lines[closing], "settled");
+  const std::vector<Case> cases{
+      {"torn line", edit(move, lines[move].substr(0, lines[move].size() / 2)), move + 1,
+       "not JSON"},
+      {"not an object", edit(move, "[\"move\"]"), move + 1, "not a JSON object"},
+      {"unknown kind", edit(move, withField(lines[move], "event", "\"teleport\"")),
+       move + 1, "unknown event kind 'teleport'"},
+      {"missing key",
+       edit(move, lines[move].substr(0, lines[move].rfind(", \"b\": ")) + "}"), move + 1,
+       "move line has keys"},
+      {"extra key", edit(sample, extra), sample + 1, "sample line has keys"},
+      {"non-string value", edit(move, withField(lines[move], "t", "5")), move + 1,
+       "field 't' is not a string"},
+      {"bad count", edit(move, withField(lines[move], "node", "\"x7\"")), move + 1,
+       "field 'node' = 'x7' is neither a count nor '-'"},
+      {"signed count", edit(move, withField(lines[move], "a", "\"-3\"")), move + 1,
+       "field 'a' = '-3' is neither a count nor '-'"},
+      {"event time '-'", edit(move, withField(lines[move], "t", "\"-\"")), move + 1,
+       "t must be numeric"},
+      {"sample count '-'", edit(sample, withField(lines[sample], "settled", "\"-\"")),
+       sample + 1, "settled must be numeric"},
+      {"time backwards",
+       edit(later, withField(lines[later], "t",
+                             "\"" + std::to_string(std::stoull(earlierT) - 1) + "\"")),
+       later + 1, "time went backwards"},
+      {"negative balance", edit(settle, withField(lines[settle], "event", "\"collapse\"")),
+       settle + 1, "collapse before a matching settle"},
+      {"final settled",
+       edit(closing, withField(lines[closing], "settled",
+                               "\"" + std::to_string(std::stoull(settled) + 1) + "\"")),
+       closing + 1, "final sampled settled count"},
+      {"empty", {}, 0, "empty trace"},
+      {"no move", without({"move"}), 0, "no move event"},
+      {"no settle", without({"settle", "collapse"}), 0, "no settle event"},
+  };
+  const std::string path = processTempPath("trace_check_bad", ".jsonl");
+  for (const Case& c : cases) {
+    writeLines(path, c.lines);
+    const TraceCheck res = checkTraceJsonl(path);
+    EXPECT_FALSE(res.ok) << c.rule;
+    const std::string where =
+        c.line == 0 ? path + ": " : path + ":" + std::to_string(c.line) + ": ";
+    EXPECT_EQ(res.message.rfind(where, 0), 0u) << c.rule << ": " << res.message;
+    EXPECT_NE(res.message.find(c.why), std::string::npos) << c.rule << ": " << res.message;
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // of `scenario` (empty ones included) and of `scale_real` must merge to
 // the unsharded run, a torn or missing shard file must be refused until
 // that shard is rerun, and `disp_bench merge` must refuse diverging and
-// overlapping shards without writing anything.
+// overlapping shards without writing anything; `disp_bench check`'s exit
+// codes follow its verdict on a trace stream.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -244,24 +245,6 @@ TEST(Merge, RejectsOverlappingShards) {
   EXPECT_FALSE(fs::exists(dir + "/out.jsonl"));  // no output on failure
 }
 
-TEST(Merge, TelemetryOnlyDifferenceIsAnOverlap) {
-  const std::string dir = testDir("telemetry");
-  // Same cell, different RSS telemetry: the facts agree, so the second
-  // row is a repeat of the first, not a divergence.
-  writeFile(dir + "/a.jsonl",
-            R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", "moves": "9", "peak_rss_mb": "12.5"})"
-            "\n");
-  writeFile(dir + "/b.jsonl",
-            R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", "moves": "9", "peak_rss_mb": "99.9"})"
-            "\n");
-  const MergeResult res =
-      mergeJsonl({dir + "/a.jsonl", dir + "/b.jsonl"}, dir + "/out.jsonl");
-  EXPECT_FALSE(res.ok);
-  EXPECT_TRUE(res.divergences.empty());
-  ASSERT_EQ(res.errors.size(), 1u);
-  EXPECT_NE(res.errors[0].find("overlapping shards?"), std::string::npos);
-}
-
 TEST(Merge, FactDivergenceFailsLoudlyWithACellDiff) {
   const std::string dir = testDir("diverge");
   writeFile(dir + "/a.jsonl",
@@ -279,6 +262,21 @@ TEST(Merge, FactDivergenceFailsLoudlyWithACellDiff) {
   EXPECT_EQ(res.divergences[0].valueB, "10");
   EXPECT_NE(res.divergences[0].identity.find("graph=er"), std::string::npos);
   EXPECT_NE(res.divergences[0].whereA.find("a.jsonl:1"), std::string::npos);
+  EXPECT_FALSE(fs::exists(dir + "/out.jsonl"));
+
+  // A measured column is compared like any other: two runs of one cell
+  // that differ only in peak RSS diverge there.
+  writeFile(dir + "/a.jsonl",
+            R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", "peak_rss_mb": "12.5"})"
+            "\n");
+  writeFile(dir + "/b.jsonl",
+            R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", "peak_rss_mb": "99.9"})"
+            "\n");
+  const MergeResult rss =
+      mergeJsonl({dir + "/a.jsonl", dir + "/b.jsonl"}, dir + "/out.jsonl");
+  EXPECT_TRUE(rss.errors.empty());
+  ASSERT_EQ(rss.divergences.size(), 1u);
+  EXPECT_EQ(rss.divergences[0].column, "peak_rss_mb");
   EXPECT_FALSE(fs::exists(dir + "/out.jsonl"));
 }
 
@@ -366,35 +364,6 @@ TEST(Merge, NonObjectRowIsAnErrorNamingPathAndLine) {
             std::string::npos)
       << res.errors[0];
   EXPECT_NE(res.errors[1].find("s.jsonl:3: not JSON"), std::string::npos) << res.errors[1];
-  EXPECT_FALSE(fs::exists(dir + "/out.jsonl"));
-}
-
-TEST(Merge, OnlyTheFourTelemetryColumnsAreExempt) {
-  const std::string dir = testDir("telemetry_set");
-  const auto row = [](const std::string& column, const std::string& value) {
-    return R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", )" +
-           jsonQuote(column) + ": " + jsonQuote(value) + "}\n";
-  };
-  for (const char* column : {"load_ms", "peak_rss_mb", "rss_lb_mb", "rss_ratio"}) {
-    writeFile(dir + "/a.jsonl", row(column, "1"));
-    writeFile(dir + "/b.jsonl", row(column, "2"));
-    const MergeResult res =
-        mergeJsonl({dir + "/a.jsonl", dir + "/b.jsonl"}, dir + "/out.jsonl");
-    EXPECT_TRUE(res.divergences.empty()) << column;
-    ASSERT_EQ(res.errors.size(), 1u) << column;
-    EXPECT_NE(res.errors[0].find("overlapping shards?"), std::string::npos) << column;
-  }
-  // Timing and throughput columns are facts: no sweep emits them, so a
-  // difference there is a divergence like any other.
-  for (const char* column : {"ms", "Mact/s", "Mmoves/s"}) {
-    writeFile(dir + "/a.jsonl", row(column, "1"));
-    writeFile(dir + "/b.jsonl", row(column, "2"));
-    const MergeResult res =
-        mergeJsonl({dir + "/a.jsonl", dir + "/b.jsonl"}, dir + "/out.jsonl");
-    EXPECT_TRUE(res.errors.empty()) << column;
-    ASSERT_EQ(res.divergences.size(), 1u) << column;
-    EXPECT_EQ(res.divergences[0].column, column);
-  }
   EXPECT_FALSE(fs::exists(dir + "/out.jsonl"));
 }
 
@@ -739,7 +708,7 @@ TEST(MergeE2E, RefusesDivergenceOverlapAndUnknownFlags) {
   EXPECT_FALSE(fs::exists(out));
 
   // merge takes --out and nothing else.
-  for (const char* flag : {"--dup=error", "--partial-tail", "--threads=2"}) {
+  for (const char* flag : {"--dup=error", "--partial-tail", "--threads=2", "--help"}) {
     EXPECT_EQ(exitCode(bench + " merge --out=" + out + " " + flag + " " + dir +
                        "/a.jsonl > " + dir + "/out.txt 2>&1"),
               2)
@@ -768,6 +737,42 @@ TEST(MergeE2E, OutWithoutAPathIsAUsageError) {
             std::string::npos)
       << slurp(dir + "/err.txt");
   EXPECT_FALSE(fs::exists(dir + "/1"));
+}
+
+// `disp_bench check` exits 0 with the per-kind summary on a valid trace
+// stream, 1 naming path:line on an invalid one, and 2 on a usage error.
+TEST(CheckE2E, ExitCodesFollowTheVerdict) {
+  const std::string dir = testDir("check_cli");
+  const std::string bench(DISP_BENCH_BIN);
+  const std::string trace = dir + "/trace.jsonl";
+  ASSERT_EQ(exitCode(bench + " trace_smoke --threads=1 --sample=4 --trace=" + trace +
+                     " > " + dir + "/run.txt 2>&1"),
+            0);
+  const auto check = [&](const std::string& args) {
+    return exitCode(bench + " check " + args + " > " + dir + "/out.txt 2> " + dir +
+                    "/err.txt");
+  };
+  EXPECT_EQ(check(trace), 0);
+  EXPECT_EQ(slurp(dir + "/out.txt").rfind("OK " + trace + ": 6 streams, collapse=", 0), 0u)
+      << slurp(dir + "/out.txt");
+  EXPECT_EQ(slurp(dir + "/err.txt"), "");
+
+  std::string first;
+  std::getline(std::ifstream(trace), first);
+  writeFile(dir + "/torn.jsonl", first.substr(0, first.size() / 2) + "\n");
+  EXPECT_EQ(check(dir + "/torn.jsonl"), 1);
+  EXPECT_EQ(slurp(dir + "/err.txt").rfind("error: " + dir + "/torn.jsonl:1: not JSON", 0),
+            0u)
+      << slurp(dir + "/err.txt");
+  EXPECT_EQ(slurp(dir + "/out.txt"), "");
+  EXPECT_EQ(check(dir + "/absent.jsonl"), 1);
+
+  // check takes one path and no flags, --help included.
+  EXPECT_EQ(check(""), 2);
+  EXPECT_EQ(check(trace + " " + trace), 2);
+  EXPECT_EQ(check("--help " + dir + "/torn.jsonl"), 2);
+  EXPECT_EQ(check("--sample=4 " + trace), 2);
+  EXPECT_NE(slurp(dir + "/err.txt").find("error: unknown flag --sample"), std::string::npos);
 }
 
 #endif  // DISP_BENCH_BIN

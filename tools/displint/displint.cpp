@@ -3,11 +3,11 @@
 // Enforces the byte-identical-facts contract (DESIGN.md §12) over the fact
 // paths (src/core/, src/algo/) and the wider src/ tree: no hash-order
 // iteration, no wall-clock/entropy sources, no pointer ordering, no side
-// effects in DISP_CHECK arguments, no mutable static state — plus the
-// TraceEvent ↔ check_trace.sh schema cross-check.  Token-level by design:
-// it runs in milliseconds on every build, needs no compiler front end, and
-// over-approximates; `// displint: allow(RULE) — justification` records the
-// reviewed exceptions in place.
+// effects in DISP_CHECK arguments, no mutable static state, no co_await in
+// a loop header.  Token-level by design: it runs in milliseconds on every
+// build, needs no compiler front end, and over-approximates;
+// `// displint: allow(RULE) — justification` records the reviewed
+// exceptions in place.
 //
 // Usage:
 //   displint [--root=DIR] [--compdb=FILE] [--assume=fact|exempt|auto] [files…]
@@ -224,7 +224,6 @@ int main(int argc, char** argv) {
     displint::runFileRules(in, findings);
     inputs.push_back(std::move(in));
   }
-  displint::runCrossRules(opt.root, findings);
 
   std::size_t suppressed = 0;
   for (FileInput& in : inputs) {

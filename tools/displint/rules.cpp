@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -594,103 +592,6 @@ void ruleCoAwaitCondition(const FileInput& in, std::vector<Finding>& out) {
   }
 }
 
-// ---------------------------------------------------- DL006 trace-schema
-
-// Cross-file: every stable kind name returned by traceEventKindName
-// (src/core/trace.cpp) must appear in the KINDS set of
-// scripts/check_trace.sh, and every KINDS entry except the engine-level
-// "sample" must be an emitted kind.
-struct NamedLine {
-  std::string name;
-  int line;
-};
-
-std::vector<NamedLine> traceKindNames(const std::string& text) {
-  std::vector<NamedLine> names;
-  std::istringstream is(text);
-  std::string lineText;
-  int lineNo = 0;
-  while (std::getline(is, lineText)) {
-    ++lineNo;
-    const std::size_t r = lineText.find("return \"");
-    if (r == std::string::npos) continue;
-    const std::size_t start = r + 8;
-    const std::size_t end = lineText.find('"', start);
-    if (end == std::string::npos) continue;
-    const std::string name = lineText.substr(start, end - start);
-    if (name != "?" && !name.empty()) names.push_back({name, lineNo});
-  }
-  return names;
-}
-
-std::vector<NamedLine> schemaKinds(const std::string& text) {
-  std::vector<NamedLine> names;
-  const std::size_t anchor = text.find("KINDS");
-  if (anchor == std::string::npos) return names;
-  const std::size_t open = text.find('{', anchor);
-  const std::size_t close = text.find('}', anchor);
-  if (open == std::string::npos || close == std::string::npos || close < open) {
-    return names;
-  }
-  int lineNo = 1 + static_cast<int>(std::count(text.begin(),
-                                               text.begin() + static_cast<std::ptrdiff_t>(open), '\n'));
-  std::size_t i = open;
-  while (i < close) {
-    if (text[i] == '\n') ++lineNo;
-    if (text[i] == '"') {
-      const std::size_t end = text.find('"', i + 1);
-      if (end == std::string::npos || end > close) break;
-      names.push_back({text.substr(i + 1, end - i - 1), lineNo});
-      i = end + 1;
-      continue;
-    }
-    ++i;
-  }
-  return names;
-}
-
-bool readFile(const std::string& path, std::string& out) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return false;
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  out = ss.str();
-  return true;
-}
-
-void ruleTraceSchema(const std::string& root, std::vector<Finding>& out) {
-  const std::string tracePath = "src/core/trace.cpp";
-  const std::string schemaPath = "scripts/check_trace.sh";
-  std::string traceText;
-  std::string schemaText;
-  if (!readFile(root + "/" + tracePath, traceText) ||
-      !readFile(root + "/" + schemaPath, schemaText)) {
-    return;  // fixture trees / partial checkouts: nothing to cross-check
-  }
-  const std::vector<NamedLine> kinds = traceKindNames(traceText);
-  const std::vector<NamedLine> schema = schemaKinds(schemaText);
-  auto inList = [](const std::vector<NamedLine>& v, const std::string& n) {
-    return std::any_of(v.begin(), v.end(),
-                       [&](const NamedLine& e) { return e.name == n; });
-  };
-  for (const NamedLine& k : kinds) {
-    if (!inList(schema, k.name)) {
-      out.push_back({tracePath, k.line, "DL006",
-                     "TraceEvent kind \"" + k.name +
-                         "\" has no schema entry in scripts/check_trace.sh "
-                         "KINDS — traced runs would fail the schema gate"});
-    }
-  }
-  for (const NamedLine& s : schema) {
-    if (s.name != "sample" && !inList(kinds, s.name)) {
-      out.push_back({schemaPath, s.line, "DL006",
-                     "check_trace.sh KINDS entry \"" + s.name +
-                         "\" matches no TraceEvent kind in core/trace.cpp — "
-                         "stale schema entry"});
-    }
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- catalog
@@ -713,9 +614,6 @@ const std::vector<RuleInfo>& ruleCatalog() {
       {"DL005", "mutable-static",
        "mutable global or static state in fact paths (const/constexpr/"
        "thread_local pass)"},
-      {"DL006", "trace-schema",
-       "TraceEvent kinds in core/trace.cpp and the scripts/check_trace.sh KINDS "
-       "schema must match exactly"},
       {"DL007", "co-await-condition",
        "co_await inside a while/for header or a do-while condition — gcc 12 "
        "miscompiles it"},
@@ -736,10 +634,6 @@ void runFileRules(const FileInput& in, std::vector<Finding>& findings) {
   ruleCheckSideEffect(in, findings);
   ruleMutableStatic(in, findings);
   ruleCoAwaitCondition(in, findings);
-}
-
-void runCrossRules(const std::string& root, std::vector<Finding>& findings) {
-  ruleTraceSchema(root, findings);
 }
 
 void applySuppressions(FileInput& in, std::vector<Finding>& findings) {

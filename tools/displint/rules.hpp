@@ -1,10 +1,10 @@
 #pragma once
 // displint rule framework (DESIGN.md §12).
 //
-// A rule is a named check over one lexed file (FileRule) or over the whole
-// scanned tree (CrossRule).  Adding a rule means appending one entry to the
-// tables in rules.cpp — the driver, suppression matching, output formatting
-// and the selftest harness all key off the catalog and need no changes.
+// A rule is a named check over one lexed file.  Adding a rule means
+// appending one entry to the tables in rules.cpp — the driver, suppression
+// matching, output formatting and the selftest harness all key off the
+// catalog and need no changes.
 //
 // Scope model: every scanned file carries a Scope describing which rule
 // families apply.
@@ -56,11 +56,6 @@ struct RuleInfo {
 /// Runs every per-file rule applicable to `in.scope`, appending raw
 /// (pre-suppression) findings.
 void runFileRules(const FileInput& in, std::vector<Finding>& findings);
-
-/// Cross-tree rules.  `root` is the scan root; DL006 reads
-/// src/core/trace.cpp and scripts/check_trace.sh beneath it and silently
-/// skips when either file is absent (fixture trees, partial checkouts).
-void runCrossRules(const std::string& root, std::vector<Finding>& findings);
 
 /// Applies suppressions in place: removes findings covered by a matching
 /// allow() comment (marking it used), then appends DL000 findings for
