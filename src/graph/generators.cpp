@@ -345,52 +345,32 @@ GraphBuilder makeRandomRegular(std::uint32_t n, std::uint32_t d, std::uint64_t s
   DISP_REQUIRE(n * d % 2 == 0, "n*d must be even");
   Rng rng(seed ^ 0x4e91a4ULL);
   // Pairing model with full resampling on self-loop / multi-edge / disconnect.
-  const std::size_t stubCount = static_cast<std::size_t>(n) * d;
-  std::vector<NodeId> stubs(stubCount);
-  // A pairing's edges as larger endpoints listed under their smaller one:
-  // row u holds at most d of them, at higher[u * d ...].
-  std::vector<NodeId> higher(stubCount);
-  std::vector<std::uint32_t> rowSize(n);
   for (int attempt = 0; attempt < 1000; ++attempt) {
-    for (std::uint32_t v = 0; v < n; ++v) {
-      std::fill_n(stubs.begin() + static_cast<std::ptrdiff_t>(v) * d, d, v);
-    }
+    std::vector<NodeId> stubs;
+    stubs.reserve(static_cast<std::size_t>(n) * d);
+    for (std::uint32_t v = 0; v < n; ++v)
+      for (std::uint32_t i = 0; i < d; ++i) stubs.push_back(v);
     rng.shuffle(stubs);
-    std::fill(rowSize.begin(), rowSize.end(), 0U);
-    bool simple = true;
-    for (std::size_t i = 0; simple && i < stubCount; i += 2) {
-      const NodeId u = std::min(stubs[i], stubs[i + 1]);
-      const NodeId v = std::max(stubs[i], stubs[i + 1]);
-      NodeId* row = higher.data() + static_cast<std::size_t>(u) * d;
-      simple = u != v && std::find(row, row + rowSize[u], v) == row + rowSize[u];
-      if (simple) row[rowSize[u]++] = v;
-    }
-    if (!simple) continue;
-    // Regular graphs from the pairing model are connected w.h.p. for d>=3;
-    // verify with a union-find over the edges and resample otherwise (d=2
-    // can give disjoint cycles).
-    std::vector<NodeId> parent(n);
-    std::iota(parent.begin(), parent.end(), 0U);
-    const auto find = [&parent](NodeId x) {
-      while (parent[x] != x) x = parent[x] = parent[parent[x]];
-      return x;
-    };
-    std::uint32_t components = n;
-    GraphBuilder b(n);
-    for (NodeId u = 0; u < n; ++u) {
-      NodeId* row = higher.data() + static_cast<std::size_t>(u) * d;
-      std::sort(row, row + rowSize[u]);
-      for (std::uint32_t j = 0; j < rowSize[u]; ++j) {
-        b.addEdge(u, row[j]);
-        const NodeId ru = find(u);
-        const NodeId rv = find(row[j]);
-        if (ru != rv) {
-          parent[ru] = rv;
-          --components;
-        }
+    std::set<std::pair<NodeId, NodeId>> seen;
+    bool ok = true;
+    for (std::size_t i = 0; i < stubs.size(); i += 2) {
+      NodeId u = stubs[i], v = stubs[i + 1];
+      if (u == v) {
+        ok = false;
+        break;
+      }
+      if (u > v) std::swap(u, v);
+      if (!seen.insert({u, v}).second) {
+        ok = false;
+        break;
       }
     }
-    if (components == 1) return b;
+    if (!ok) continue;
+    GraphBuilder b(n);
+    for (const auto& [u, v] : seen) b.addEdge(u, v);
+    // Regular graphs from the pairing model are connected w.h.p. for d>=3;
+    // verify and resample otherwise (d=2 can give disjoint cycles).
+    if (isConnected(b.build())) return b;
   }
   throw std::runtime_error("random regular sampling did not converge");
 }
