@@ -1,6 +1,5 @@
 #include "algo/registry.hpp"
 
-#include <deque>
 #include <stdexcept>
 
 #include "algo/async_rooted.hpp"
@@ -42,11 +41,10 @@ std::unique_ptr<ProtocolHandle> makeRootedSync(SyncEngine& engine) {
   return makeSyncAlgo<RootedSyncDispersion>(engine);
 }
 
-std::deque<AlgorithmDef>& mutableRegistry() {
-  // displint: allow(DL005) — append-only Meyers-singleton registration
-  // store: mutated only by registerAlgorithm() before runs start, read via
-  // keyed lookups in fixed registration order, so facts cannot depend on it.
-  static std::deque<AlgorithmDef> registry{
+}  // namespace
+
+std::span<const AlgorithmDef> algorithmRegistry() {
+  static const AlgorithmDef kAlgorithms[] = {
       {{"rooted_sync", "RootedSyncDisp", "Theorem 6.1", false, true},
        &makeRootedSync, nullptr},
       {{"rooted_async", "RootedAsyncDisp", "Theorem 7.1", true, true},
@@ -61,12 +59,8 @@ std::deque<AlgorithmDef>& mutableRegistry() {
       {{"ks_async", "KS-async", "baseline [24], O(min{m, kΔ})", true, true},
        nullptr, &makeAsyncAlgo<KsAsyncDispersion>},
   };
-  return registry;
+  return kAlgorithms;
 }
-
-}  // namespace
-
-const std::deque<AlgorithmDef>& algorithmRegistry() { return mutableRegistry(); }
 
 const AlgorithmDef* findAlgorithm(std::string_view name) {
   for (const AlgorithmDef& def : algorithmRegistry()) {
@@ -91,25 +85,6 @@ std::vector<std::string> algorithmKeys() {
   keys.reserve(algorithmRegistry().size());
   for (const AlgorithmDef& def : algorithmRegistry()) keys.push_back(def.traits.key);
   return keys;
-}
-
-void registerAlgorithm(AlgorithmDef def) {
-  if (def.traits.key.empty()) {
-    throw std::invalid_argument("algorithm registration needs a key");
-  }
-  if (findAlgorithm(def.traits.key) != nullptr ||
-      (!def.traits.display.empty() && findAlgorithm(def.traits.display) != nullptr)) {
-    throw std::invalid_argument("algorithm '" + def.traits.key +
-                                "' is already registered");
-  }
-  const bool hasSync = def.makeSync != nullptr;
-  const bool hasAsync = def.makeAsync != nullptr;
-  if (hasSync == hasAsync || hasAsync != def.traits.isAsync) {
-    throw std::invalid_argument(
-        "algorithm '" + def.traits.key +
-        "' must provide exactly one factory matching traits.isAsync");
-  }
-  mutableRegistry().push_back(std::move(def));
 }
 
 const std::string& algorithmDisplayName(std::string_view name) {

@@ -1,22 +1,23 @@
 #pragma once
-// String-keyed algorithm registry: the library's one extension point for
-// dispersion protocols.
+// String-keyed algorithm registry: one constant table of the dispersion
+// protocols.
 //
-// Every algorithm is registered under a stable snake_case key ("rooted_sync",
+// Every algorithm has a row under a stable snake_case key ("rooted_sync",
 // "general_async", ...) with its traits (model, placement requirements,
 // paper reference) and a factory that instantiates the protocol on an
 // engine.  The run session (runner.hpp), the experiment driver (exp/sweep),
 // `disp_bench`, examples and tests all resolve algorithms here by name —
 // adding an algorithm (e.g. the Theorem 8.1 SYNC-general oscillation
-// machinery) means one registerAlgorithm() call, not edits to five parallel
-// switch statements.
+// machinery) means one more row in registry.cpp's table, not edits to five
+// parallel switch statements.  The table is constant: nothing registers at
+// run time, so no run can depend on what an earlier one added.
 //
 // Lookup accepts either the canonical key or the display name (the string
 // historically printed in Table 1 rows, e.g. "RootedSyncDisp"), so output
 // produced by older runs round-trips back into the API.
 
-#include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,7 +27,7 @@
 
 namespace disp {
 
-/// Static facts about a registered algorithm.
+/// Static facts about an algorithm.
 struct AlgorithmTraits {
   std::string key;      ///< canonical registry key (snake_case)
   std::string display;  ///< table/display name (historical algorithmName)
@@ -56,11 +57,9 @@ struct AlgorithmDef {
   std::unique_ptr<ProtocolHandle> (*makeAsync)(AsyncEngine&) = nullptr;
 };
 
-/// All registered algorithms, in registration order (the six built-ins
-/// first).  Deque storage: registerAlgorithm() never invalidates
-/// references to existing entries (runSession and the display-name
-/// accessors hold them across whole runs).
-[[nodiscard]] const std::deque<AlgorithmDef>& algorithmRegistry();
+/// Every algorithm, in table order.  Entries live for the whole process
+/// (runSession and the display-name accessors hold them across runs).
+[[nodiscard]] std::span<const AlgorithmDef> algorithmRegistry();
 
 /// Lookup by canonical key or display name; nullptr when unknown.
 [[nodiscard]] const AlgorithmDef* findAlgorithm(std::string_view name);
@@ -69,12 +68,8 @@ struct AlgorithmDef {
 /// and listing the known keys.
 [[nodiscard]] const AlgorithmDef& algorithmDef(std::string_view name);
 
-/// Canonical keys in registration order (CLI help, test enumeration).
+/// Canonical keys in table order (CLI help, test enumeration).
 [[nodiscard]] std::vector<std::string> algorithmKeys();
-
-/// Registers an additional algorithm.  Throws std::invalid_argument on a
-/// duplicate key/display name or a factory/traits model mismatch.
-void registerAlgorithm(AlgorithmDef def);
 
 /// Display name for a registry key ("rooted_sync" -> "RootedSyncDisp");
 /// throws on unknown names.  This is the string Table 1 rows print.

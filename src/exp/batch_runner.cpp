@@ -113,7 +113,8 @@ SweepResult BatchRunner::run(const SweepSpec& spec) const {
     }
     parallelFor(options_.threads, toBuild.size(), [&](std::size_t i) {
       const BuildPlan& plan = *toBuild[i].first;
-      *toBuild[i].second = plan.spec->instantiate(plan.n, plan.seed, spec.labeling);
+      *toBuild[i].second = plan.spec->instantiate(plan.n, plan.seed,
+                                                  PortLabeling::RandomPermutation);
     });
   }
 
@@ -139,7 +140,6 @@ SweepResult BatchRunner::run(const SweepSpec& spec) const {
     c.scheduler = key.scheduler;
     c.seed = spec.seeds[repIx];
     c.nOverK = spec.nOverK;
-    c.labeling = spec.labeling;
     c.limit = spec.limit;
     c.faults = key.faults;
     if (options_.observe) {

@@ -114,9 +114,9 @@ void benchScaleReal(BenchContext& ctx) {
   // clustered overrides ℓ < k and the group term overcounts — the ratio is
   // campaign telemetry either way).  What the
   // 2x headroom in rss_ratio = peak_rss_mb / rss_lb_mb then gates is
-  // everything *not* declared: fiber frames, occupancy views, the portTo
-  // index, allocator slack — the overheads that would silently balloon if
-  // someone hung a vector off a per-agent struct.
+  // everything *not* declared: fiber frames, occupancy views, allocator
+  // slack — the overheads that would silently balloon if someone hung a
+  // vector off a per-agent struct.
   const auto lowerBoundMb = [](std::uint64_t n, std::uint64_t m, std::uint64_t k) {
     const std::uint64_t graphBytes = 4 * (n + 1) + 16 * m;
     const std::uint64_t worldBytes = World::kNodeCellBytes * n + World::kAgentCellBytes * k;

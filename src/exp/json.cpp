@@ -249,7 +249,7 @@ const std::string& JsonValue::asString() const {
   return string_;
 }
 
-const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members() const {
+const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members() const& {
   if (kind_ != Kind::Object) throw std::runtime_error("JSON value is not an object");
   return members_;
 }

@@ -21,8 +21,11 @@ class JsonValue {
   [[nodiscard]] bool isObject() const { return kind_ == Kind::Object; }
 
   [[nodiscard]] const std::string& asString() const;
-  /// Object members in insertion order.
-  [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>& members() const;
+  /// Object members in insertion order.  The result refers into this
+  /// value, so a temporary may not be asked: hold the parsed value in a
+  /// named object first.
+  [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>& members() const&;
+  void members() const&& = delete;
 
   /// Compact single-line serialization (no trailing newline).
   [[nodiscard]] std::string dump() const;

@@ -23,7 +23,8 @@ std::vector<std::uint32_t> kSweep(std::uint32_t lo, std::uint32_t hi) {
 
 RunRecord runCell(const CaseSpec& c) {
   const auto n = static_cast<std::uint32_t>(double(c.k) * c.nOverK);
-  const Graph g = GraphSpec::parse(c.graph).instantiate(n, c.seed, c.labeling);
+  const Graph g = GraphSpec::parse(c.graph).instantiate(
+      n, c.seed, PortLabeling::RandomPermutation);
   return runCell(g, c);
 }
 

@@ -9,7 +9,9 @@
 // workload — parameterized generators, `file:PATH` graphs, adversarial
 // placements — drops into the same cross-product.  Each point of the
 // cross-product is a *cell*; each cell is simulated once per seed (the
-// seed drives graph construction, placement and the run itself).
+// seed drives graph construction, placement and the run itself).  Every
+// generated graph gets the seeded random port labeling
+// (PortLabeling::RandomPermutation).
 // BatchRunner (batch_runner.hpp) executes a spec over a thread pool,
 // sharing each immutable Graph across every run with an equal
 // GraphSpec::instanceKey, and aggregates replicates per cell.
@@ -59,7 +61,6 @@ struct CaseSpec {
   std::string scheduler = "round_robin";
   std::uint64_t seed = 17;  ///< drives graph, placement and run
   double nOverK = 2.0;  ///< default sizing n = k * nOverK for size-unbound specs
-  PortLabeling labeling = PortLabeling::RandomPermutation;
   std::uint64_t limit = 0;  ///< round/activation cap; 0 = auto (RunOptions)
   /// Fault load (FaultSpec string, core/faults.hpp; "none" = fault-free).
   std::string faults = "none";
@@ -85,8 +86,7 @@ struct RunRecord {
 [[nodiscard]] RunRecord runCell(const CaseSpec& c);
 
 /// Same, against a prebuilt graph (must equal the case's GraphSpec
-/// instance for its k/nOverK/seed/labeling — BatchRunner uses this to
-/// share graphs).
+/// instance for its k/nOverK/seed — BatchRunner uses this to share graphs).
 [[nodiscard]] RunRecord runCell(const Graph& g, const CaseSpec& c);
 
 /// The cross-product of experiment axes.  Every vector axis must be
@@ -103,7 +103,6 @@ struct SweepSpec {
   std::vector<std::string> faults{"none"};
   std::vector<std::uint64_t> seeds{17};
   double nOverK = 2.0;
-  PortLabeling labeling = PortLabeling::RandomPermutation;
   std::uint64_t limit = 0;  ///< per-run round/activation cap; 0 = auto
   /// Multiplies the k axis at enumeration time (each k clamped to >= 8,
   /// duplicates dropped).  1.0 = run `ks` as written.  Sweeps whose ks are

@@ -70,9 +70,9 @@ namespace disp {
 [[nodiscard]] GraphBuilder makeExpander(std::uint32_t n, std::uint32_t d,
                                         std::uint64_t seed);
 
-// The string-keyed family registry (family name -> one of the generators
-// above, with the historical size-derivation rules) lives in graph/spec.hpp:
-// GraphSpec::parse / makeGraph / registerGraphFamily.
+// The family table (family name -> one of the generators above, with the
+// historical size-derivation rules) lives in graph/spec.hpp:
+// GraphSpec::parse / makeGraph / graphFamilyRegistry.
 
 /// True iff the graph is connected (BFS).
 [[nodiscard]] bool isConnected(const Graph& g);

@@ -18,70 +18,10 @@ constexpr std::size_t kPrefetchAhead = 16;
 }  // namespace
 
 Port Graph::portTo(NodeId v, NodeId u) const {
-  const Port d = degree(v);
-  if (d > kPortToIndexThreshold && !portIndexNodes_.empty()) {
-    const auto it =
-        std::lower_bound(portIndexNodes_.begin(), portIndexNodes_.end(), v);
-    if (it != portIndexNodes_.end() && *it == v) {
-      const auto ix = static_cast<std::size_t>(it - portIndexNodes_.begin());
-      const std::uint32_t* first = portIndexSlots_.data() + portIndexOffsets_[ix];
-      const std::uint32_t* last =
-          portIndexSlots_.data() + portIndexOffsets_[ix + 1];
-      const std::uint32_t* slot = std::lower_bound(
-          first, last, u,
-          [this](std::uint32_t s, NodeId t) { return slots_[s].neighbor < t; });
-      if (slot != last && slots_[*slot].neighbor == u) {
-        return static_cast<Port>(*slot - offsets_[v] + 1);
-      }
-      return kNoPort;
-    }
-  }
-  for (Port p = 1; p <= d; ++p) {
+  for (Port p = 1; p <= degree(v); ++p) {
     if (neighbor(v, p) == u) return p;
   }
   return kNoPort;
-}
-
-void Graph::buildPortToIndex() {
-  portIndexNodes_.clear();
-  portIndexOffsets_.clear();
-  portIndexSlots_.clear();
-  const std::uint32_t n = nodeCount();
-  std::uint64_t slots = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (degree(v) > kPortToIndexThreshold) {
-      portIndexNodes_.push_back(v);
-      slots += degree(v);
-    }
-  }
-  if (portIndexNodes_.empty()) return;
-  portIndexOffsets_.reserve(portIndexNodes_.size() + 1);
-  portIndexOffsets_.push_back(0);
-  portIndexSlots_.reserve(slots);
-  for (const NodeId v : portIndexNodes_) {
-    for (std::uint32_t s = offsets_[v]; s < offsets_[v + 1]; ++s) {
-      portIndexSlots_.push_back(s);
-    }
-    const auto first = portIndexSlots_.begin() +
-                       static_cast<std::ptrdiff_t>(portIndexOffsets_.back());
-    std::sort(first, portIndexSlots_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                return slots_[a].neighbor < slots_[b].neighbor;
-              });
-    portIndexOffsets_.push_back(portIndexSlots_.size());
-  }
-}
-
-std::vector<Edge> Graph::edges() const {
-  std::vector<Edge> out;
-  out.reserve(edgeCount_);
-  for (NodeId v = 0; v < nodeCount(); ++v) {
-    for (Port p = 1; p <= degree(v); ++p) {
-      const NodeId u = neighbor(v, p);
-      if (v <= u) out.push_back({v, u});
-    }
-  }
-  return out;
 }
 
 GraphBuilder& GraphBuilder::addEdge(NodeId u, NodeId v) {
@@ -99,12 +39,7 @@ Graph GraphBuilder::build(PortLabeling labeling, std::uint64_t seed) && {
   Graph g = rows();
   // After the rows pass only Constrained's matching reads the edge list.
   if (labeling != PortLabeling::Constrained) std::vector<Edge>().swap(edges_);
-  return label(std::move(g), labeling, seed, nullptr);
-}
-
-Graph GraphBuilder::buildWithPorts(const std::vector<std::pair<Port, Port>>& ports) const {
-  DISP_REQUIRE(ports.size() == edges_.size(), "one port pair per edge required");
-  return label(rows(), PortLabeling::InsertionOrder, 0, &ports);
+  return label(std::move(g), labeling, seed);
 }
 
 // Every pass of rows() and label() is O(n + m).  Beside the edge list and
@@ -148,8 +83,7 @@ Graph GraphBuilder::rows() const {
   return g;
 }
 
-Graph GraphBuilder::label(Graph g, PortLabeling labeling, std::uint64_t seed,
-                          const std::vector<std::pair<Port, Port>>* ports) const {
+Graph GraphBuilder::label(Graph g, PortLabeling labeling, std::uint64_t seed) const {
   const std::uint32_t n = n_;
   const auto row = [&g](NodeId v) {
     return std::pair<std::uint32_t, std::uint32_t>{g.offsets_[v], g.offsets_[v + 1]};
@@ -170,18 +104,15 @@ Graph GraphBuilder::label(Graph g, PortLabeling labeling, std::uint64_t seed,
 
     // The port of every slot.
     std::vector<Port> port(g.slots_.size());
-    std::vector<std::pair<Port, Port>> constrained;
-    if (ports == nullptr && labeling == PortLabeling::Constrained) {
-      constrained = constrainedPorts(n, edges_, seed);
-      ports = &constrained;
-    }
-    if (ports != nullptr) {
-      // Per-edge pairs land on the edge's two slots, found by replaying the
-      // insertion-order cursors.
+    if (labeling == PortLabeling::Constrained) {
+      // The matching's per-edge pairs land on the edge's two slots, found
+      // by replaying the insertion-order cursors.
+      const std::vector<std::pair<Port, Port>> pairs =
+          constrainedPorts(n, edges_, seed);
       std::vector<std::uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
       for (std::size_t i = 0; i < edges_.size(); ++i) {
-        port[cursor[edges_[i].u]++] = (*ports)[i].first;
-        port[cursor[edges_[i].v]++] = (*ports)[i].second;
+        port[cursor[edges_[i].u]++] = pairs[i].first;
+        port[cursor[edges_[i].v]++] = pairs[i].second;
       }
     } else {
       // Each row numbered 1..deg in insertion order.  RandomPermutation then
@@ -220,7 +151,6 @@ Graph GraphBuilder::label(Graph g, PortLabeling labeling, std::uint64_t seed,
   }
 
   validateGraph(g);
-  g.buildPortToIndex();
   return g;
 }
 
@@ -267,7 +197,6 @@ Graph TwoPassBuilder::finish() {
   DISP_REQUIRE(sealed_ && added_ == counted_,
                "pass-two edge stream diverged from pass one");
   g_.edgeCount_ = counted_;
-  g_.buildPortToIndex();
   return std::move(g_);
 }
 

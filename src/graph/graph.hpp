@@ -9,12 +9,16 @@
 // Storage is CSR with one 8-byte slot per half-edge: the slot of port p at
 // v holds neighbor(v, p) and the precomputed reversePort(v, p) = p_u(v), so
 // the engine sets an arriving agent's `pin` from the cache line it read the
-// neighbor from.
+// neighbor from.  Nothing else is stored: no agent asks which port leads to
+// a given node, so there is no reverse index.
+//
+// Every GraphBuilder build takes one path: rows() lays out the rows,
+// label() numbers the ports, validateGraph() checks the result.  The
+// streaming loaders use TwoPassBuilder, which writes the same CSR directly.
 
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -128,35 +132,18 @@ class Graph {
     __builtin_prefetch(slots_.data() + offsets_[v]);
   }
 
-  /// Port at v leading to u, or kNoPort if not adjacent.  O(δ_v) linear
-  /// scan below kPortToIndexThreshold; O(log δ_v) via a per-node sorted
-  /// slot index above it (power-law hubs would otherwise pay O(Δ)).
+  /// Port at v leading to u, or kNoPort if not adjacent: an O(δ_v) scan.
+  /// Agents never ask this (they see only local ports); tests do.
   [[nodiscard]] Port portTo(NodeId v, NodeId u) const;
-
-  /// Undirected edge list (each edge once, u <= v).
-  [[nodiscard]] std::vector<Edge> edges() const;
-
-  /// Degrees above this use the sorted portTo index (facts are unchanged:
-  /// the index is a pure lookup accelerator over the same CSR slots).
-  static constexpr Port kPortToIndexThreshold = 32;
 
  private:
   friend class GraphBuilder;
   friend class TwoPassBuilder;
 
-  /// Builds the high-degree portTo acceleration index (called by builders).
-  void buildPortToIndex();
-
   std::vector<std::uint32_t> offsets_;  // size n+1
   std::vector<Slot> slots_;             // size 2m, port-ordered
   std::uint64_t edgeCount_ = 0;
   Port maxDegree_ = 0;
-  // portTo fast path: for each node with degree > kPortToIndexThreshold (in
-  // ascending NodeId order), the global CSR slot indices of its row sorted
-  // by neighbor id.  Empty on low-degree graphs — zero overhead there.
-  std::vector<NodeId> portIndexNodes_;
-  std::vector<std::uint64_t> portIndexOffsets_;   // size portIndexNodes_+1
-  std::vector<std::uint32_t> portIndexSlots_;
 };
 
 /// How ports are assigned when a Graph is materialized from an edge list.
@@ -190,24 +177,13 @@ class GraphBuilder {
   [[nodiscard]] Graph build(PortLabeling labeling = PortLabeling::InsertionOrder,
                             std::uint64_t seed = 0) &&;
 
-  /// Materializes the CSR graph with explicit ports: ports[i] = (port at
-  /// edges()[i].u, port at edges()[i].v).  Ports must form the permutation
-  /// 1..δ at every node (std::invalid_argument otherwise, or on a duplicate
-  /// edge).  Used by graph I/O to reproduce labelings exactly (not every
-  /// valid labeling is reachable by insertion order).
-  [[nodiscard]] Graph buildWithPorts(
-      const std::vector<std::pair<Port, Port>>& ports) const;
-
  private:
   // The two halves of every build.  rows() lays out each node's row in
   // insertion order, with each slot's twin in its reversePort field;
   // label() gives every slot its port, sorts each row into port order and
-  // validates.  Explicit `ports` (one pair per edge) take the place of
-  // `labeling` when given.  label() reads the edge list only for explicit
-  // or Constrained ports.
+  // validates.  label() reads the edge list only for Constrained ports.
   [[nodiscard]] Graph rows() const;
-  [[nodiscard]] Graph label(Graph g, PortLabeling labeling, std::uint64_t seed,
-                            const std::vector<std::pair<Port, Port>>* ports) const;
+  [[nodiscard]] Graph label(Graph g, PortLabeling labeling, std::uint64_t seed) const;
 
   std::uint32_t n_;
   std::vector<Edge> edges_;

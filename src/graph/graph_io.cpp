@@ -9,7 +9,6 @@
 #include <functional>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -152,16 +151,6 @@ void rewind(std::istream& is, const std::string& source) {
   }
 }
 
-// Legacy string-based tokenizer, still used by the dpg reader (dpg files
-// are small archives; the streaming path is for the web-scale formats).
-std::vector<std::string> tokenize(const std::string& line) {
-  std::istringstream is(line);
-  std::vector<std::string> toks;
-  std::string tok;
-  while (is >> tok) toks.push_back(tok);
-  return toks;
-}
-
 /// Cold path: a duplicate edge was detected on the sorted rows.  Rescans
 /// the source with the historical per-line set so the error names the same
 /// line and tokens the old single-pass loaders reported.  `mapKey` turns a
@@ -226,128 +215,6 @@ Graph buildFromMappedPairs(std::uint32_t n,
 }
 
 }  // namespace
-
-void writeGraph(std::ostream& os, const Graph& g) {
-  os << "dpg " << g.nodeCount() << ' ' << g.edgeCount() << '\n';
-  for (NodeId v = 0; v < g.nodeCount(); ++v) {
-    for (Port p = 1; p <= g.degree(v); ++p) {
-      const NodeId u = g.neighbor(v, p);
-      if (v <= u) {
-        os << v << ' ' << p << ' ' << u << ' ' << g.reversePort(v, p) << '\n';
-      }
-    }
-  }
-}
-
-Graph readGraph(std::istream& is, const std::string& source) {
-  struct Rec {
-    NodeId u;
-    Port pu;
-    NodeId v;
-    Port pv;
-    std::uint64_t line;
-  };
-  std::uint64_t lineNo = 0;
-  std::string line;
-  std::uint32_t n = 0;
-  std::uint64_t m = 0;
-  bool sawHeader = false;
-  std::vector<Rec> recs;
-  std::set<std::pair<NodeId, NodeId>> seenEdges;
-
-  while (std::getline(is, line)) {
-    ++lineNo;
-    const std::vector<std::string> toks = tokenize(line);
-    if (toks.empty()) continue;
-    if (!sawHeader) {
-      if (toks.size() != 3 || toks[0] != "dpg") {
-        failAt(source, lineNo, "bad graph header (want 'dpg <n> <m>')");
-      }
-      const auto hn = parseId(toks[1]);
-      const auto hm = parseId(toks[2]);
-      if (!hn || !hm || *hn > 0xffffffffULL) {
-        failAt(source, lineNo, "bad node/edge count in header");
-      }
-      n = static_cast<std::uint32_t>(*hn);
-      m = *hm;
-      sawHeader = true;
-      continue;
-    }
-    if (recs.size() == m) failAt(source, lineNo, "trailing content after the last edge");
-    if (toks.size() != 4) failAt(source, lineNo, "want '<u> <pu> <v> <pv>'");
-    std::uint64_t vals[4];
-    for (int i = 0; i < 4; ++i) {
-      const auto v = parseId(toks[static_cast<std::size_t>(i)]);
-      if (!v) failAt(source, lineNo, "non-numeric field '" +
-                                         toks[static_cast<std::size_t>(i)] + "'");
-      vals[i] = *v;
-    }
-    if (vals[0] >= n || vals[2] >= n) {
-      failAt(source, lineNo, "node out of range (n = " + std::to_string(n) + ")");
-    }
-    if (vals[0] == vals[2]) failAt(source, lineNo, "self-loop");
-    Rec r{static_cast<NodeId>(vals[0]), static_cast<Port>(vals[1]),
-          static_cast<NodeId>(vals[2]), static_cast<Port>(vals[3]), lineNo};
-    const auto key = std::minmax(r.u, r.v);
-    if (!seenEdges.insert({key.first, key.second}).second) {
-      failAt(source, lineNo,
-             "duplicate edge " + std::to_string(r.u) + "-" + std::to_string(r.v));
-    }
-    recs.push_back(r);
-  }
-  if (!sawHeader) fail(source, "bad graph header (want 'dpg <n> <m>')");
-  if (recs.size() != m) {
-    fail(source, "truncated graph file: " + std::to_string(recs.size()) + " of " +
-                     std::to_string(m) + " edges");
-  }
-
-  // Degrees are implied by the maximum port mentioned at each node; ports
-  // must then form exactly the permutation 1..deg at every node.
-  std::vector<Port> deg(n, 0);
-  for (const Rec& r : recs) {
-    deg[r.u] = std::max(deg[r.u], r.pu);
-    deg[r.v] = std::max(deg[r.v], r.pv);
-  }
-  {
-    std::vector<std::vector<std::uint8_t>> seen(n);
-    for (NodeId v = 0; v < n; ++v) seen[v].assign(deg[v] + 1, 0);
-    const auto mark = [&](NodeId at, Port p, std::uint64_t atLine) {
-      if (p < 1 || p > deg[at]) {
-        failAt(source, atLine,
-               "port " + std::to_string(p) + " out of range at node " +
-                   std::to_string(at) + " (degree " + std::to_string(deg[at]) + ")");
-      }
-      if (seen[at][p]) {
-        failAt(source, atLine, "duplicate port " + std::to_string(p) +
-                                   " at node " + std::to_string(at));
-      }
-      seen[at][p] = 1;
-    };
-    for (const Rec& r : recs) {
-      mark(r.u, r.pu, r.line);
-      mark(r.v, r.pv, r.line);
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      for (Port p = 1; p <= deg[v]; ++p) {
-        if (!seen[v][p]) {
-          fail(source, "node " + std::to_string(v) + " is missing port " +
-                           std::to_string(p));
-        }
-      }
-    }
-  }
-
-  GraphBuilder b(n);
-  std::vector<std::pair<Port, Port>> ports;
-  ports.reserve(recs.size());
-  for (const Rec& r : recs) {
-    b.addEdge(r.u, r.v);
-    ports.emplace_back(r.pu, r.pv);
-  }
-  Graph g = b.buildWithPorts(ports);
-  if (!isConnected(g)) fail(source, "graph is not connected");
-  return g;
-}
 
 Graph readEdgeList(std::istream& is, const std::string& source) {
   // Pass one: validate every line in order, count edges, and collect the
@@ -576,12 +443,6 @@ void writeGraphalytics(const std::string& basePath, const Graph& g) {
   }
 }
 
-void saveGraph(const std::string& path, const Graph& g) {
-  std::ofstream os(path);
-  DISP_REQUIRE(os.good(), "cannot open file for writing: " + path);
-  writeGraph(os, g);
-}
-
 namespace {
 
 std::ifstream openOrFail(const std::string& path) {
@@ -591,16 +452,6 @@ std::ifstream openOrFail(const std::string& path) {
 }
 
 }  // namespace
-
-Graph loadGraph(const std::string& path) {
-  std::ifstream is = openOrFail(path);
-  return readGraph(is, path);
-}
-
-Graph loadEdgeList(const std::string& path) {
-  std::ifstream is = openOrFail(path);
-  return readEdgeList(is, path);
-}
 
 Graph loadGraphalytics(const std::string& path) {
   std::string base = path;
@@ -615,13 +466,8 @@ Graph loadGraphalytics(const std::string& path) {
 
 Graph loadAnyGraph(const std::string& path) {
   if (path.ends_with(".v") || path.ends_with(".e")) return loadGraphalytics(path);
-  {
-    std::ifstream sniff = openOrFail(path);
-    std::string first;
-    sniff >> first;
-    if (first == "dpg") return loadGraph(path);
-  }
-  return loadEdgeList(path);
+  std::ifstream is = openOrFail(path);
+  return readEdgeList(is, path);
 }
 
 }  // namespace disp

@@ -1,14 +1,5 @@
 #pragma once
-// Graph file I/O.  Three readable formats, one writable:
-//
-//  * "dpg" (dispersion port graph) — our native archive format:
-//
-//        dpg <n> <m>
-//        <u> <pu> <v> <pv>      (one line per edge; ports preserved exactly)
-//
-//    Round-tripping preserves the port labeling, which matters: an
-//    algorithm's trajectory depends on port numbers, so experiments can be
-//    archived and replayed bit-for-bit.
+// Graph file I/O.  Two readable formats, one writable:
 //
 //  * plain edge lists — one `u v` pair per line, `#`/`%` comments and blank
 //    lines ignored; node ids are arbitrary non-negative integers, remapped
@@ -18,15 +9,17 @@
 //    line (extra value columns ignored), the `.e` file one `src dst
 //    [weight]` edge per line; ids map to their `.v` line order.
 //
-// Formats without stored ports get a *deterministic* labeling: edges are
-// sorted by remapped endpoints and ports assigned in insertion order, so
-// the same file always materializes the identical port-labeled graph (the
-// `file:` GraphSpec relies on this for replayability).
+// Neither format stores ports.  A loaded graph gets a *deterministic*
+// labeling: edges are sorted by remapped endpoints and ports assigned in
+// insertion order, so the same file always materializes the identical
+// port-labeled graph (the `file:` GraphSpec relies on this for
+// replayability).  A generated graph needs no archive: its spec string and
+// seed rebuild it byte for byte (GraphSpec::instanceKey).
 //
 // Every parse error reports the source name and 1-based line number
-// ("path:line: what"); duplicate edges, self-loops, out-of-range nodes and
-// bad/duplicate/missing ports are all rejected.  Loaded graphs must be
-// connected (the paper's model assumes it).
+// ("path:line: what"); duplicate edges, self-loops and unknown or
+// non-numeric ids are all rejected.  Loaded graphs must be connected (the
+// paper's model assumes it).
 
 #include <iosfwd>
 #include <string>
@@ -35,13 +28,8 @@
 
 namespace disp {
 
-void writeGraph(std::ostream& os, const Graph& g);
-
-/// Reads the native "dpg" format.  `source` names the stream in errors.
-[[nodiscard]] Graph readGraph(std::istream& is,
-                              const std::string& source = "<stream>");
-
-/// Reads a plain edge list (see file header).
+/// Reads a plain edge list (see file header).  `source` names the stream
+/// in errors.
 [[nodiscard]] Graph readEdgeList(std::istream& is,
                                  const std::string& source = "<stream>");
 
@@ -55,15 +43,11 @@ void writeGraph(std::ostream& os, const Graph& g);
 /// Ports are not stored; reloading applies the deterministic labeling.
 void writeGraphalytics(const std::string& basePath, const Graph& g);
 
-void saveGraph(const std::string& path, const Graph& g);
-[[nodiscard]] Graph loadGraph(const std::string& path);      // dpg
-[[nodiscard]] Graph loadEdgeList(const std::string& path);
 /// Accepts `base`, `base.v` or `base.e`; loads the `.v`/`.e` pair.
 [[nodiscard]] Graph loadGraphalytics(const std::string& path);
 
-/// Format-sniffing loader (the `file:` GraphSpec entry point): a `.v`/`.e`
-/// extension selects the Graphalytics pair, a leading "dpg" magic selects
-/// the native format, anything else parses as a plain edge list.
+/// The `file:` GraphSpec entry point: a `.v`/`.e` extension selects the
+/// Graphalytics pair, anything else parses as a plain edge list.
 [[nodiscard]] Graph loadAnyGraph(const std::string& path);
 
 }  // namespace disp

@@ -116,8 +116,10 @@ GraphBuilder makeFamExpander(const GraphSpec& s, std::uint32_t n, std::uint64_t 
   return makeExpander(std::max(n, 2 * d), d, seed);
 }
 
-std::deque<GraphFamilyDef>& mutableRegistry() {
-  static std::deque<GraphFamilyDef> registry{
+}  // namespace
+
+std::span<const GraphFamilyDef> graphFamilyRegistry() {
+  static const GraphFamilyDef kFamilies[] = {
       {"path", "path graph (the Ω(k) lower-bound instance)", {}, {}, &makeFamPath},
       {"cycle", "cycle graph", {}, {}, &makeFamCycle},
       {"star", "star K_{1,n-1} (max-degree stress)", {}, {}, &makeFamStar},
@@ -152,12 +154,8 @@ std::deque<GraphFamilyDef>& mutableRegistry() {
       {"expander", "random circulant expander (d-regular, seeded)", {"d"}, {},
        &makeFamExpander},
   };
-  return registry;
+  return kFamilies;
 }
-
-}  // namespace
-
-const std::deque<GraphFamilyDef>& graphFamilyRegistry() { return mutableRegistry(); }
 
 const GraphFamilyDef* findGraphFamily(std::string_view key) {
   for (const GraphFamilyDef& def : graphFamilyRegistry()) {
@@ -179,21 +177,6 @@ std::vector<std::string> graphFamilyKeys() {
   keys.reserve(graphFamilyRegistry().size());
   for (const GraphFamilyDef& def : graphFamilyRegistry()) keys.push_back(def.key);
   return keys;
-}
-
-void registerGraphFamily(GraphFamilyDef def) {
-  DISP_REQUIRE(!def.key.empty() && def.key != "file",
-               "graph family key empty or reserved");
-  DISP_REQUIRE(def.make != nullptr, "graph family '" + def.key + "' has no factory");
-  DISP_REQUIRE(findGraphFamily(def.key) == nullptr,
-               "graph family '" + def.key + "' already registered");
-  for (const std::string& sp : def.sizeParams) {
-    DISP_REQUIRE(std::find(def.params.begin(), def.params.end(), sp) !=
-                     def.params.end(),
-                 "size param '" + sp + "' of family '" + def.key +
-                     "' missing from params");
-  }
-  mutableRegistry().push_back(std::move(def));
 }
 
 GraphSpec GraphSpec::parse(const std::string& text) {

@@ -2,8 +2,8 @@
 // Parsed, printable graph workload specs — the input grammar of the
 // Scenario API (DESIGN.md §8).
 //
-// A GraphSpec names either a registered generator family with optional
-// key=value shape parameters, or a graph file on disk:
+// A GraphSpec names either a generator family with optional key=value
+// shape parameters, or a graph file on disk:
 //
 //   er                          legacy alias: n from context, p = 2 ln n / n
 //   er:n=2048,p=0.01            explicit size and density
@@ -18,14 +18,14 @@
 // actually consumes.  Every legacy family name parses as an alias whose
 // instantiation is byte-identical to the historical makeFamily() rules.
 //
-// Families live in a string-keyed registry mirroring the algorithm registry
-// (algo/registry.hpp): registerGraphFamily() is the extension point, and
-// `file:` is a built-in special form (ports come from the file, so neither
-// the context size, the seed nor the labeling apply).
+// Families live in one constant table, keyed by name like the algorithm
+// table (algo/registry.hpp); a new family is one more row in spec.cpp.
+// `file:` is a built-in special form (the loader fixes the ports, so
+// neither the context size, the seed nor the labeling apply).
 
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,7 +36,7 @@ namespace disp {
 
 class GraphSpec;
 
-/// One registered generator family.  `make` receives the parsed spec (for
+/// One generator family.  `make` receives the parsed spec (for
 /// shape parameters), the effective node count n (the spec's own n= if
 /// given, else the caller's context size) and the seed.
 struct GraphFamilyDef {
@@ -75,15 +75,15 @@ class GraphSpec {
 
   /// Cache identity of a concrete instance: the canonical string plus the
   /// context size (when the spec doesn't pin one) and the seed (files are
-  /// seed-free — their ports are stored on disk).  Two equal instance keys
-  /// always materialize byte-identical graphs.
+  /// seed-free — their loader labels ports deterministically).  Two equal
+  /// instance keys always materialize byte-identical graphs.
   [[nodiscard]] std::string instanceKey(std::uint32_t contextN,
                                         std::uint64_t seed) const;
 
   /// Materializes the graph.  `contextN` is the default node count for
   /// specs that don't pin their size (the experiment layer passes
   /// k * nOverK); `seed` drives generator randomness and the port labeling.
-  /// `file:` specs load from disk with their stored/deterministic ports and
+  /// `file:` specs load from disk with the loader's deterministic ports and
   /// ignore all three arguments.
   [[nodiscard]] Graph instantiate(std::uint32_t contextN, std::uint64_t seed,
                                   PortLabeling labeling) const;
@@ -107,22 +107,17 @@ class GraphSpec {
     const std::string& spec, std::uint32_t n, std::uint64_t seed,
     PortLabeling labeling = PortLabeling::RandomPermutation);
 
-/// All registered generator families, registration order (built-ins first).
-/// Deque storage: registerGraphFamily never invalidates references.
-[[nodiscard]] const std::deque<GraphFamilyDef>& graphFamilyRegistry();
+/// Every generator family, in table order.
+[[nodiscard]] std::span<const GraphFamilyDef> graphFamilyRegistry();
 
-/// Lookup by family key; nullptr when unknown (`file` is not a registered
-/// family — it is a parse special form).
+/// Lookup by family key; nullptr when unknown (`file` is not in the table
+/// — it is a parse special form).
 [[nodiscard]] const GraphFamilyDef* findGraphFamily(std::string_view key);
 
 /// Lookup that throws std::invalid_argument listing the known families.
 [[nodiscard]] const GraphFamilyDef& graphFamilyDef(std::string_view key);
 
-/// Canonical family keys in registration order (CLI help, tests).
+/// Canonical family keys in table order (CLI help, tests).
 [[nodiscard]] std::vector<std::string> graphFamilyKeys();
-
-/// Registers an additional generator family.  Throws std::invalid_argument
-/// on a duplicate or reserved key or a null factory.
-void registerGraphFamily(GraphFamilyDef def);
 
 }  // namespace disp

@@ -410,46 +410,44 @@ TEST(BatchRunner, RejectsBadShard) {
   EXPECT_THROW((void)BatchRunner(options).run(smallSpec()), std::invalid_argument);
 }
 
-// The acceptance check of the file: loader path: a generator graph saved
-// to disk and re-run through a file: spec must reproduce the generator
-// cell's facts exactly (dpg archives the port labeling bit-for-bit).
-TEST(BatchRunner, FileSpecReproducesGeneratorCellExactly) {
+// The file: loader path end to end: a generator graph written as a
+// Graphalytics pair and run through a file: spec.  The pair stores no
+// ports, so every run uses the loader's deterministic labeling.  The batch
+// runner shares one loaded instance across seeds, and its seed-7 replicate
+// must equal a standalone runCell of the same cell.
+TEST(BatchRunner, FileSpecBatchReplicateMatchesRunCell) {
   const std::uint64_t seed = 7;
   const std::uint32_t k = 16;
-  CaseSpec gen;
-  gen.graph = "er";
-  gen.k = k;
-  gen.algorithm = "general_sync";
-  gen.placement = "clusters:l=4";
-  gen.seed = seed;
-  const RunRecord a = runCell(gen);
-
-  // Save the exact graph the generator cell used (n = 2k, same seed).
   const Graph g = makeGraph("er", 2 * k, seed);
-  const std::string path = processTempPath("exp_file_parity", ".dpg");
-  saveGraph(path, g);
+  const std::string base = processTempPath("exp_file_parity");
+  writeGraphalytics(base, g);
 
-  CaseSpec viaFile = gen;
-  viaFile.graph = "file:" + path;
-  const RunRecord b = runCell(viaFile);
-  EXPECT_EQ(a.n, b.n);
-  EXPECT_EQ(a.edges, b.edges);
-  EXPECT_EQ(a.maxDegree, b.maxDegree);
-  expectSameRun(a.run, b.run, "file: parity");
+  CaseSpec viaFile;
+  viaFile.graph = "file:" + base + ".e";
+  viaFile.k = k;
+  viaFile.algorithm = "general_sync";
+  viaFile.placement = "clusters:l=4";
+  viaFile.seed = seed;
+  const RunRecord a = runCell(viaFile);
+  EXPECT_EQ(a.n, g.nodeCount());
+  EXPECT_EQ(a.edges, g.edgeCount());
+  EXPECT_EQ(a.maxDegree, g.maxDegree());
+  EXPECT_TRUE(a.run.dispersed);
 
-  // And the batch path shares one loaded instance across seeds while
-  // producing the same per-seed records.
   SweepSpec spec;
   spec.name = "file";
-  spec.graphs = {"file:" + path};
+  spec.graphs = {viaFile.graph};
   spec.ks = {k};
   spec.algorithms = {"general_sync"};
   spec.placements = {"clusters:l=4"};
   spec.seeds = {seed, seed + 1};
   const SweepResult res = runnerWith(2).run(spec);
   const Cell& cell = res.cells.front();
+  ASSERT_EQ(cell.replicates.size(), 2u);
+  EXPECT_TRUE(cell.replicates[0].error.empty()) << cell.replicates[0].error;
   expectSameRun(cell.replicates[0].run, a.run, "batch file: seed 7");
-  std::filesystem::remove(path);
+  std::filesystem::remove(base + ".v");
+  std::filesystem::remove(base + ".e");
 }
 
 TEST(BenchContext, SeedsOrFallsBackToHistoricalSeed) {

@@ -16,6 +16,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "temp_path.hpp"
@@ -187,6 +188,16 @@ TEST(Json, RejectsNestingDeeperThan64) {
   EXPECT_EQ(JsonValue::parse(nested(65)).dump(), nested(65));
   EXPECT_NE(parseError(nested(66)).find("nesting too deep"), std::string::npos);
 }
+
+// members() returns a reference into its object, so only a named value
+// may be asked: `for (... : JsonValue::parse(line).members())` would walk
+// a destroyed temporary, and must not compile.
+template <typename T>
+concept CanListMembers = requires(T&& v) { std::forward<T>(v).members(); };
+static_assert(!CanListMembers<JsonValue>);
+static_assert(!CanListMembers<const JsonValue>);
+static_assert(CanListMembers<JsonValue&>);
+static_assert(CanListMembers<const JsonValue&>);
 
 TEST(Json, AccessorsRejectTheWrongKind) {
   const JsonValue number = JsonValue::parse("4");

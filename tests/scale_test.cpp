@@ -1,7 +1,7 @@
 // Tests for the web-scale ingest machinery: the two-pass streaming CSR
 // builder (fuzzed against the validating GraphBuilder), the ba/rmat/er:fast
-// generator invariants, the Graphalytics writer round-trip, the portTo
-// high-degree fast path, and the peak-RSS probe semantics.
+// generator invariants, the Graphalytics writer round-trip, and the
+// peak-RSS probe semantics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -233,31 +233,6 @@ TEST(GraphSpec, ScaleFamiliesRegisteredWithSizeBounds) {
   // er:fast=1 is the opt-in O(m) sampler; bare er keeps its pinned stream.
   EXPECT_EQ(makeGraph("er:fast=1,n=256", 0, 7).nodeCount(), 256u);
   EXPECT_TRUE(isConnected(makeGraph("er:fast=1,n=256", 0, 7)));
-}
-
-// -------------------------------------------------------- portTo fast path
-
-TEST(Graph, PortToIndexMatchesLinearScanAcrossThreshold) {
-  // Degrees straddle kPortToIndexThreshold: hub uses the binary-search
-  // index, leaves the linear scan; both must agree with the CSR rows.
-  const Graph g = makeGraph("ba:n=400,d=4", 0, 13, PortLabeling::RandomPermutation);
-  ASSERT_GT(g.maxDegree(), Graph::kPortToIndexThreshold);
-  for (NodeId v = 0; v < g.nodeCount(); ++v) {
-    const auto nbrs = g.neighbors(v);
-    for (Port p = 1; p <= g.degree(v); ++p) {
-      EXPECT_EQ(g.portTo(v, nbrs[p - 1]), p) << "node " << v;
-    }
-    EXPECT_EQ(g.portTo(v, v), kNoPort);
-  }
-}
-
-TEST(Graph, PortToMissesOnHighDegreeNodes) {
-  const Graph g = makeStar(100).build();
-  ASSERT_GT(g.degree(0), Graph::kPortToIndexThreshold);
-  // Leaves are mutually non-adjacent; the hub index must report misses.
-  EXPECT_EQ(g.portTo(1, 2), kNoPort);
-  EXPECT_EQ(g.portTo(1, 99), kNoPort);
-  EXPECT_NE(g.portTo(0, 57), kNoPort);
 }
 
 // ------------------------------------------------------------ RSS probe

@@ -40,7 +40,7 @@ void expectSameFacts(const RunResult& a, const RunResult& b, const std::string& 
 // ------------------------------------------------------------- registry
 
 TEST(Registry, RoundTripsEveryBuiltinByKeyAndDisplayName) {
-  ASSERT_GE(algorithmRegistry().size(), 6u);
+  ASSERT_EQ(algorithmRegistry().size(), 6u);
   for (const char* key : kAllKeys) {
     const AlgorithmDef* byKey = findAlgorithm(key);
     ASSERT_NE(byKey, nullptr) << key;
@@ -71,18 +71,6 @@ TEST(Registry, UnknownNamesFailLoudly) {
   RunOptions opts;
   opts.algorithm = "no_such_algorithm";
   EXPECT_THROW((void)runSession(g, p, opts), std::invalid_argument);
-}
-
-TEST(Registry, RejectsBadRegistrations) {
-  AlgorithmDef dup;
-  dup.traits = algorithmRegistry().front().traits;
-  dup.makeSync = algorithmRegistry().front().makeSync;
-  EXPECT_THROW(registerAlgorithm(dup), std::invalid_argument);
-
-  AlgorithmDef mismatch;
-  mismatch.traits = {"bogus_async", "Bogus", "", true, false};
-  mismatch.makeSync = algorithmRegistry().front().makeSync;  // sync factory, async traits
-  EXPECT_THROW(registerAlgorithm(mismatch), std::invalid_argument);
 }
 
 TEST(Registry, RootedPlacementRequirementIsEnforced) {
