@@ -212,6 +212,22 @@ TEST(BatchRunner, MatchesDirectRunCellResults) {
   }
 }
 
+// The sweep layer has no labeling knob: a generator cell runs on the
+// RandomPermutation labeling of its spec at n = k * nOverK and its seed.
+TEST(Sweep, GeneratorCellsRunOnRandomPermutationPorts) {
+  const CaseSpec c{"er", 16, "general_sync", "clusters:l=4", "round_robin", 7};
+  const auto n = static_cast<std::uint32_t>(double(c.k) * c.nOverK);
+  const RunRecord cell = runCell(c);
+  expectSameRun(cell.run,
+                runCell(makeGraph(c.graph, n, c.seed, PortLabeling::RandomPermutation), c).run,
+                "random permutation");
+  // The run tells the labelings apart, so the match above is not vacuous.
+  const RunRecord inserted =
+      runCell(makeGraph(c.graph, n, c.seed, PortLabeling::InsertionOrder), c);
+  EXPECT_TRUE(cell.run.totalMoves != inserted.run.totalMoves ||
+              cell.run.finalPositions != inserted.run.finalPositions);
+}
+
 TEST(BatchRunner, RecordsLimitErrorsInsteadOfThrowing) {
   SweepSpec spec;
   spec.name = "limited";

@@ -5,9 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 
+#include "temp_path.hpp"
 #include "util/rng.hpp"
 
 #include "graph/generators.hpp"
@@ -15,6 +20,7 @@
 #include "graph/graph.hpp"
 #include "graph/graph_algos.hpp"
 #include "graph/graph_io.hpp"
+#include "graph/labeling.hpp"
 
 namespace disp {
 namespace {
@@ -279,19 +285,43 @@ TEST(Graph, PortToFindsAndMisses) {
   const Graph g = makePath(4).build();
   EXPECT_NE(g.portTo(1, 2), kNoPort);
   EXPECT_EQ(g.portTo(0, 3), kNoPort);
+}
 
-  // A star hub under a random labeling: every leaf is found at its own
-  // port from either end, and the leaves, which are mutually non-adjacent,
-  // miss each other.
-  const Graph star = makeStar(100).build(PortLabeling::RandomPermutation, 13);
-  for (Port p = 1; p <= star.degree(0); ++p) {
-    const NodeId leaf = star.neighbor(0, p);
-    EXPECT_EQ(star.portTo(0, leaf), p) << "leaf " << leaf;
-    EXPECT_EQ(star.portTo(leaf, 0), star.reversePort(0, p)) << "leaf " << leaf;
+// neighbors(v) is v's row in port order: its size is the degree, and both
+// iteration and indexing agree with neighbor(v, p).
+TEST(Graph, NeighborViewFollowsPortOrder) {
+  const Graph g = makeGraph("er", 60, 9, PortLabeling::RandomPermutation);
+  for (NodeId v = 0; v < g.nodeCount(); ++v) {
+    const Graph::NeighborView row = g.neighbors(v);
+    ASSERT_EQ(row.size(), g.degree(v)) << "node " << v;
+    Port p = 1;
+    for (auto it = row.begin(); it != row.end(); it++, ++p) {
+      EXPECT_EQ(*it, g.neighbor(v, p)) << "node " << v << " port " << p;
+      EXPECT_EQ(row[p - 1], g.neighbor(v, p)) << "node " << v << " port " << p;
+    }
+    EXPECT_EQ(p, g.degree(v) + 1) << "node " << v;
   }
-  EXPECT_EQ(star.portTo(0, 0), kNoPort);
-  EXPECT_EQ(star.portTo(1, 2), kNoPort);
-  EXPECT_EQ(star.portTo(1, 99), kNoPort);
+}
+
+// Each edge of K6 has exactly one slot at each end, and the two slots name
+// each other through their reverse ports.
+TEST(Graph, EveryEdgeHasOneSlotAtEachEnd) {
+  const Graph g = makeComplete(6).build(PortLabeling::RandomPermutation, 4);
+  EXPECT_EQ(g.edgeCount(), 15u);
+  std::map<std::pair<NodeId, NodeId>, int> slots;
+  for (NodeId v = 0; v < g.nodeCount(); ++v) {
+    for (Port p = 1; p <= g.degree(v); ++p) {
+      const NodeId u = g.neighbor(v, p);
+      const Port back = g.reversePort(v, p);
+      ++slots[{std::min(u, v), std::max(u, v)}];
+      EXPECT_EQ(g.neighbor(u, back), v) << v << ":" << p;
+      EXPECT_EQ(g.reversePort(u, back), p) << v << ":" << p;
+    }
+  }
+  EXPECT_EQ(slots.size(), 15u);
+  for (const auto& [edge, count] : slots) {
+    EXPECT_EQ(count, 2) << edge.first << "-" << edge.second;
+  }
 }
 
 // ---------------------------------------------------------------- families
@@ -432,6 +462,37 @@ INSTANTIATE_TEST_SUITE_P(
                       FamilyCase{"caterpillar", 40}, FamilyCase{"lollipop", 30}),
     [](const auto& tpi) { return tpi.param.family; });
 
+// label() places the matching's port pairs as given, so constrainedPorts
+// must number every row 1..degree, and each pair must land on its own edge.
+TEST(Labeling, ConstrainedPortsNumberEveryRowAndLandOnTheirEdges) {
+  const std::uint64_t seed = 11;
+  for (const GraphBuilder& b : {makeComplete(5), makeStar(40), makeRandomTree(60, 3),
+                                makeLollipop(30, 6)}) {
+    SCOPED_TRACE("n=" + std::to_string(b.nodeCount()));
+    const std::vector<Edge>& edges = b.edges();
+    const std::vector<std::pair<Port, Port>> pairs =
+        constrainedPorts(b.nodeCount(), edges, seed);
+    ASSERT_EQ(pairs.size(), edges.size());
+    std::vector<std::vector<Port>> rows(b.nodeCount());
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      rows[edges[i].u].push_back(pairs[i].first);
+      rows[edges[i].v].push_back(pairs[i].second);
+    }
+    for (NodeId v = 0; v < b.nodeCount(); ++v) {
+      std::vector<Port> expected(rows[v].size());
+      std::iota(expected.begin(), expected.end(), 1U);
+      std::sort(rows[v].begin(), rows[v].end());
+      EXPECT_EQ(rows[v], expected) << "node " << v;
+    }
+    const Graph g = b.build(PortLabeling::Constrained, seed);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const auto [pu, pv] = pairs[i];
+      EXPECT_EQ(g.neighbor(edges[i].u, pu), edges[i].v) << "edge " << i;
+      EXPECT_EQ(g.reversePort(edges[i].u, pu), pv) << "edge " << i;
+    }
+  }
+}
+
 TEST(Labeling, K4HasNoConstrainedLabeling) {
   // K4: 4 degree-3 nodes need 8 low-port slots but only 6 edges exist.
   EXPECT_THROW((void)makeComplete(4).build(PortLabeling::Constrained, 1),
@@ -563,6 +624,32 @@ TEST(GraphIo, FixtureFilesLoadThroughSniffer) {
   EXPECT_EQ(viaV.nodeCount(), viaE.nodeCount());
   EXPECT_EQ(viaV.edgeCount(), viaE.edgeCount());
   EXPECT_TRUE(isConnected(viaV));
+}
+
+TEST(GraphIo, LoadAnyGraphNamesPathOnMissingFile) {
+  expectParseError([] { (void)loadAnyGraph("/nonexistent/g.el"); },
+                   "cannot open file for reading: /nonexistent/g.el");
+  // Either half of a pair opens the vertex file first.
+  expectParseError([] { (void)loadAnyGraph("/nonexistent/g.e"); },
+                   "cannot open file for reading: /nonexistent/g.v");
+  expectParseError([] { (void)makeGraph("file:/nonexistent/g.el", 0, 1); },
+                   "/nonexistent/g.el");
+}
+
+// Through the file: entry point a parse error names the file and the line.
+TEST(GraphIo, LoadAnyGraphErrorsNameFileAndLine) {
+  const std::string el = processTempPath("garbage", ".el");
+  std::ofstream(el) << "0 1\nnot a graph\n";
+  expectParseError([&] { (void)loadAnyGraph(el); }, el + ":2");
+
+  const std::string base = processTempPath("garbage_pair");
+  std::ofstream(base + ".v") << "1\n2\n3\n";
+  std::ofstream(base + ".e") << "1 2\n2 9\n";
+  expectParseError([&] { (void)loadAnyGraph(base + ".v"); },
+                   base + ".e:2: unknown vertex id '9'");
+  for (const std::string& path : {el, base + ".v", base + ".e"}) {
+    std::filesystem::remove(path);
+  }
 }
 
 // -------------------------------------------------------------- GraphSpec
@@ -738,6 +825,41 @@ TEST(GraphSpec, InstanceKeyTracksWhatTheSpecConsumes) {
   EXPECT_NE(pinned.instanceKey(64, 1), pinned.instanceKey(64, 2));   // labeling seed
   const GraphSpec file = GraphSpec::parse("file:x.el");
   EXPECT_EQ(file.instanceKey(64, 1), file.instanceKey(128, 2));  // fully pinned
+}
+
+// A file: spec loads the loader's deterministic ports whatever context
+// size, seed and labeling it is given, so a file needs no port archive.
+TEST(GraphSpec, FileSpecIgnoresSizeSeedAndLabeling) {
+  const std::string path = std::string(DISP_SOURCE_DIR) + "/tests/data/tiny.el";
+  const std::uint64_t loaded = csrHash(loadAnyGraph(path));
+  for (const PortLabeling l : {PortLabeling::InsertionOrder,
+                               PortLabeling::RandomPermutation,
+                               PortLabeling::Constrained}) {
+    EXPECT_EQ(csrHash(makeGraph("file:" + path, 99, 5, l)), loaded);
+    EXPECT_EQ(csrHash(GraphSpec::parse("file:" + path).instantiate(7, 123, l)), loaded);
+  }
+}
+
+// The family table is one constant array: every call returns the same
+// rows, keys are unique, `file` (a parse special form) has no row, and a
+// size group names only parameters its family accepts.
+TEST(GraphSpec, FamilyTableIsConstantWithUniqueKeys) {
+  const auto defs = graphFamilyRegistry();
+  EXPECT_EQ(defs.data(), graphFamilyRegistry().data());
+  EXPECT_EQ(graphFamilyKeys().size(), defs.size());
+  std::set<std::string> keys;
+  for (const GraphFamilyDef& def : defs) {
+    EXPECT_TRUE(keys.insert(def.key).second) << "duplicate family " << def.key;
+    EXPECT_NE(def.make, nullptr) << def.key;
+    EXPECT_EQ(findGraphFamily(def.key), &def) << def.key;
+    for (const std::string& size : def.sizeParams) {
+      EXPECT_NE(std::find(def.params.begin(), def.params.end(), size), def.params.end())
+          << def.key << " size parameter " << size;
+    }
+  }
+  EXPECT_EQ(findGraphFamily("file"), nullptr);
+  expectParseError([] { (void)graphFamilyDef("doublestar"); },
+                   "unknown graph family: doublestar");
 }
 
 // parse ↔ print round-trip fuzz over the whole registry: random parameter

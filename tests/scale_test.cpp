@@ -1,7 +1,7 @@
 // Tests for the web-scale ingest machinery: the two-pass streaming CSR
 // builder (fuzzed against the validating GraphBuilder), the ba/rmat/er:fast
-// generator invariants, the Graphalytics writer round-trip, and the
-// peak-RSS probe semantics.
+// generator invariants, the Graphalytics writer round-trip, portTo on
+// high-degree rows, and the peak-RSS probe semantics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -233,6 +233,37 @@ TEST(GraphSpec, ScaleFamiliesRegisteredWithSizeBounds) {
   // er:fast=1 is the opt-in O(m) sampler; bare er keeps its pinned stream.
   EXPECT_EQ(makeGraph("er:fast=1,n=256", 0, 7).nodeCount(), 256u);
   EXPECT_TRUE(isConnected(makeGraph("er:fast=1,n=256", 0, 7)));
+}
+
+// ------------------------------------------------------------ portTo scans
+
+TEST(Graph, PortToFindsEveryPortOnPowerLawHubs) {
+  // A ba graph's hubs have rows far longer than its leaves'; the scan must
+  // find every neighbor at its own port on both.
+  const Graph g = makeGraph("ba:n=400,d=4", 0, 13, PortLabeling::RandomPermutation);
+  ASSERT_GT(g.maxDegree(), 8 * g.neighbors(g.nodeCount() - 1).size());
+  for (NodeId v = 0; v < g.nodeCount(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    for (Port p = 1; p <= g.degree(v); ++p) {
+      EXPECT_EQ(g.portTo(v, nbrs[p - 1]), p) << "node " << v;
+    }
+    EXPECT_EQ(g.portTo(v, v), kNoPort);
+  }
+}
+
+TEST(Graph, PortToMissesOnHighDegreeNodes) {
+  // A star hub under a random labeling: every leaf is found at its own port
+  // from either end, and the leaves, which are mutually non-adjacent, miss
+  // each other.
+  const Graph star = makeStar(100).build(PortLabeling::RandomPermutation, 13);
+  for (Port p = 1; p <= star.degree(0); ++p) {
+    const NodeId leaf = star.neighbor(0, p);
+    EXPECT_EQ(star.portTo(0, leaf), p) << "leaf " << leaf;
+    EXPECT_EQ(star.portTo(leaf, 0), star.reversePort(0, p)) << "leaf " << leaf;
+  }
+  EXPECT_EQ(star.portTo(0, 0), kNoPort);
+  EXPECT_EQ(star.portTo(1, 2), kNoPort);
+  EXPECT_EQ(star.portTo(1, 99), kNoPort);
 }
 
 // ------------------------------------------------------------ RSS probe

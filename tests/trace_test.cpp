@@ -55,6 +55,26 @@ TEST(Registry, RoundTripsEveryBuiltinByKeyAndDisplayName) {
   EXPECT_EQ(algorithmKeys().size(), algorithmRegistry().size());
 }
 
+// The table is one constant array, and its names are unambiguous: no
+// string is a key or display name of two rows, so the first match
+// findAlgorithm returns is the only one.
+TEST(Registry, TableIsConstantAndEveryNameIsUnique) {
+  const auto defs = algorithmRegistry();
+  EXPECT_EQ(defs.data(), algorithmRegistry().data());
+  std::map<std::string, std::string> owner;
+  for (const AlgorithmDef& def : defs) {
+    for (const std::string& name : {def.traits.key, def.traits.display}) {
+      const auto [it, fresh] = owner.emplace(name, def.traits.key);
+      EXPECT_TRUE(fresh) << name << " names both " << it->second << " and "
+                         << def.traits.key;
+    }
+    EXPECT_FALSE(def.traits.paperRef.empty()) << def.traits.key;
+  }
+  const std::vector<std::string> keys = algorithmKeys();
+  ASSERT_EQ(keys.size(), defs.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(keys[i], defs[i].traits.key);
+}
+
 TEST(Registry, OnlyGeneralAlgorithmsAcceptClusteredPlacements) {
   // The general algorithms accept clustered placements, the rest do not.
   EXPECT_FALSE(algorithmDef("general_sync").traits.requiresRooted);
