@@ -44,11 +44,14 @@ void printUsage(std::ostream& os) {
         "FaultSpec strings (default: none) — e.g.\n"
         "  --faults='none;crash:rate=0.25,restart=64;churn:edges=4,every=32'\n"
         "(the `faults` sweep is the self-stabilization scorecard).\n"
+        "--jsonl/--trace/--trajectory write PATH.partial and rename it to\n"
+        "PATH only when every sweep succeeded: a run that stops early\n"
+        "publishes no PATH (PATH must be a regular file or absent).\n"
         "--shard=I/N runs every Nth cell of the deterministic enumeration;\n"
         "--stream-cells writes one flushed JSONL row per finished cell, so a\n"
-        "killed shard keeps what it finished.  `merge` joins shard JSONL\n"
-        "files, refusing overlapping shards, torn lines and diverging facts\n"
-        "(rerun a killed shard, then merge).\n"
+        "killed shard keeps what it finished in PATH.partial.  `merge` joins\n"
+        "shard JSONL files, refusing missing files, overlapping shards, torn\n"
+        "lines and diverging facts (rerun a failed shard, then merge).\n"
         "Exit codes: 0 ok, 1 sweep error, refused merge or invalid trace,\n"
         "2 usage (an unknown flag included).\n"
         "Algorithms are registry keys:\n";

@@ -1,6 +1,7 @@
 #include "exp/bench_registry.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -118,6 +119,55 @@ constexpr const char* kBenchFlags[] = {
     "placements", "ks", "faults", "shard", "stream-cells",
 };
 
+/// One output file of runBenches (--jsonl, --trace or --trajectory).  Rows
+/// go to PATH.partial as they are written; PATH itself appears only when
+/// every sweep succeeded and the file flushed, so a run that stops early
+/// publishes no file that a merge could take for a whole one.
+class OutputFile {
+ public:
+  /// Opens PATH.partial for --flag=PATH and removes any old PATH.  False,
+  /// with the error printed, when PATH names something other than a
+  /// regular file (a rename would replace it) or cannot be written.
+  bool open(const char* flag, const std::string& path) {
+    flag_ = flag;
+    path_ = path;
+    std::error_code ec;
+    if (std::filesystem::exists(path, ec) && !std::filesystem::is_regular_file(path, ec)) {
+      std::cerr << "error: --" << flag << "=" << path << " is not a regular file\n";
+      return false;
+    }
+    file_ = std::make_unique<std::ofstream>(partial());
+    if (!*file_) {
+      std::cerr << "error: cannot open --" << flag << " file: " << partial() << "\n";
+      return false;
+    }
+    std::filesystem::remove(path, ec);
+    return true;
+  }
+
+  std::ostream& stream() { return *file_; }
+
+  /// Flushes PATH.partial and renames it to PATH; false, with the error
+  /// printed, when either fails.
+  bool publish() {
+    file_->close();
+    std::error_code ec;
+    if (*file_) std::filesystem::rename(partial(), path_, ec);
+    if (!*file_ || ec) {
+      std::cerr << "error: writing --" << flag_ << " file failed: " << partial() << "\n";
+      return false;
+    }
+    return true;
+  }
+
+ private:
+  [[nodiscard]] std::string partial() const { return path_ + ".partial"; }
+
+  const char* flag_ = nullptr;
+  std::string path_;
+  std::unique_ptr<std::ofstream> file_;
+};
+
 }  // namespace
 
 int runBenches(const std::vector<std::string>& names, const Cli& cli) {
@@ -144,19 +194,7 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
     }
   }
 
-  std::unique_ptr<std::ofstream> jsonlFile;
-  std::unique_ptr<JsonlWriter> jsonl;
-  const std::string jsonlPath = cli.str("jsonl", "");
-  if (!jsonlPath.empty()) {
-    jsonlFile = std::make_unique<std::ofstream>(jsonlPath);
-    if (!*jsonlFile) {
-      std::cerr << "error: cannot open --jsonl file: " << jsonlPath << "\n";
-      return 2;
-    }
-    jsonl = std::make_unique<JsonlWriter>(*jsonlFile);
-  }
-
-  BenchContext ctx{std::cout, jsonl.get(), {}, {}, {}, {}, {}, {}};
+  BenchContext ctx{std::cout, nullptr, {}, {}, {}, {}, {}, {}};
   const std::int64_t threads = cli.integer("threads", 0);
   if (threads < 0 || threads > 4096) {
     std::cerr << "error: --threads must be in [0, 4096] (0 = hardware concurrency)\n";
@@ -192,6 +230,44 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
     }
   }
 
+  const std::string jsonlPath = cli.str("jsonl", "");
+  const std::string tracePath = cli.str("trace", "");
+  const std::string trajPath = cli.str("trajectory", "");
+  const std::int64_t sample = cli.integer("sample", 1);
+  if (sample < 1) {
+    std::cerr << "error: --sample must be >= 1 (snapshot cadence)\n";
+    return 2;
+  }
+  // The trajectory CSV and the trace both claim the snapshot hooks; the
+  // trace stream already carries the sample rows.
+  if (!tracePath.empty() && !trajPath.empty()) {
+    std::cerr << "error: --trajectory and --trace are mutually exclusive "
+                 "(--trace already streams sample rows)\n";
+    return 2;
+  }
+  if (cli.has("stream-cells") && jsonlPath.empty()) {
+    std::cerr << "error: --stream-cells wants --jsonl=PATH (it streams "
+                 "cell rows there)\n";
+    return 2;
+  }
+
+  // The files to publish once every sweep has run; each stream lives on
+  // the heap, so it stays put as the vector grows.
+  std::vector<OutputFile> outputs;
+  const auto openOutput = [&outputs](const char* flag,
+                                     const std::string& path) -> std::ostream* {
+    outputs.emplace_back();
+    return outputs.back().open(flag, path) ? &outputs.back().stream() : nullptr;
+  };
+
+  std::unique_ptr<JsonlWriter> jsonl;
+  if (!jsonlPath.empty()) {
+    std::ostream* os = openOutput("jsonl", jsonlPath);
+    if (os == nullptr) return 2;
+    jsonl = std::make_unique<JsonlWriter>(*os);
+    ctx.jsonl = jsonl.get();
+  }
+
   // --stream-cells: mirror every finished cell as one generic row the
   // moment its replicates land (completion order; the sink flushes per
   // line), so a SIGKILL'd shard keeps its finished cells durable.  Suites
@@ -199,11 +275,6 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
   // hook on their own BatchOptions copy.
   std::string currentSweep;
   if (cli.has("stream-cells")) {
-    if (jsonl == nullptr) {
-      std::cerr << "error: --stream-cells wants --jsonl=PATH (it streams "
-                   "cell rows there)\n";
-      return 2;
-    }
     ctx.batch.onCellDone = [&currentSweep, sink = jsonl.get()](const Cell& c) {
       std::size_t errors = 0;
       for (const RunRecord& r : c.replicates) {
@@ -233,22 +304,11 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
 
   // Trace sink: every replicate of every selected sweep streams its typed
   // events + sampled snapshots as JSON lines (schema in exp/sink.hpp).
-  std::unique_ptr<std::ofstream> traceFile;
   std::unique_ptr<TraceJsonl> trace;
-  const std::string tracePath = cli.str("trace", "");
-  const std::int64_t sample = cli.integer("sample", 1);
-  if (sample < 1) {
-    std::cerr << "error: --sample must be >= 1 (snapshot cadence)\n";
-    return 2;
-  }
   if (!tracePath.empty()) {
-    traceFile = std::make_unique<std::ofstream>(tracePath);
-    if (!*traceFile) {
-      std::cerr << "error: cannot open --trace file: " << tracePath << "\n";
-      return 2;
-    }
-    trace = std::make_unique<TraceJsonl>(*traceFile,
-                                         static_cast<std::uint64_t>(sample));
+    std::ostream* os = openOutput("trace", tracePath);
+    if (os == nullptr) return 2;
+    trace = std::make_unique<TraceJsonl>(*os, static_cast<std::uint64_t>(sample));
     ctx.batch.observe = [tracer = trace.get()](const CellKey& key,
                                                std::uint64_t seed,
                                                RunOptions& opts) {
@@ -256,24 +316,12 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
     };
   }
 
-  // Trajectory CSV sink (exclusive with --trace: both claim the snapshot
-  // hooks; the trace stream already carries the sample rows).
-  std::unique_ptr<std::ofstream> trajFile;
+  // Trajectory CSV sink: the settled/moves time series of every run.
   std::unique_ptr<TrajectoryCsv> traj;
-  const std::string trajPath = cli.str("trajectory", "");
   if (!trajPath.empty()) {
-    if (!tracePath.empty()) {
-      std::cerr << "error: --trajectory and --trace are mutually exclusive "
-                   "(--trace already streams sample rows)\n";
-      return 2;
-    }
-    trajFile = std::make_unique<std::ofstream>(trajPath);
-    if (!*trajFile) {
-      std::cerr << "error: cannot open --trajectory file: " << trajPath << "\n";
-      return 2;
-    }
-    traj = std::make_unique<TrajectoryCsv>(*trajFile,
-                                           static_cast<std::uint64_t>(sample));
+    std::ostream* os = openOutput("trajectory", trajPath);
+    if (os == nullptr) return 2;
+    traj = std::make_unique<TrajectoryCsv>(*os, static_cast<std::uint64_t>(sample));
     ctx.batch.observe = [sink = traj.get()](const CellKey& key, std::uint64_t seed,
                                             RunOptions& opts) {
       sink->observe(key, seed, opts);
@@ -289,26 +337,8 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
       return 1;
     }
   }
-  if (jsonlFile) {
-    jsonlFile->flush();
-    if (!*jsonlFile) {
-      std::cerr << "error: writing --jsonl file failed: " << jsonlPath << "\n";
-      return 1;
-    }
-  }
-  if (traceFile) {
-    traceFile->flush();
-    if (!*traceFile) {
-      std::cerr << "error: writing --trace file failed: " << tracePath << "\n";
-      return 1;
-    }
-  }
-  if (trajFile) {
-    trajFile->flush();
-    if (!*trajFile) {
-      std::cerr << "error: writing --trajectory file failed: " << trajPath << "\n";
-      return 1;
-    }
+  for (OutputFile& output : outputs) {
+    if (!output.publish()) return 1;
   }
   return 0;
 }

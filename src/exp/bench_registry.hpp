@@ -36,6 +36,12 @@
 //                    land, so a killed run keeps its completed cells
 //                    durable (suites with their own cell streams —
 //                    table1_scale, scale_real — keep their richer rows)
+//
+// Each path flag (--jsonl, --trace, --trajectory) writes PATH.partial,
+// flushed per line.  runBenches removes any old PATH before the first
+// sweep and renames PATH.partial to PATH only after every sweep succeeded,
+// so a run that stops early publishes no PATH and leaves its finished
+// rows in PATH.partial.  PATH must be a regular file or absent.
 
 #include <cstdint>
 #include <string>

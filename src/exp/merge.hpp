@@ -2,8 +2,7 @@
 // The audited merge of shard JSONL outputs behind `disp_bench merge`.
 //
 // Rows are the self-describing dictionaries JsonlWriter emits.  Columns
-// split two ways (scripts/compare_bench_baseline.sh keeps its own copy
-// of the identity columns):
+// split two ways (kCoordinates in merge.cpp is the one list of them):
 //
 //   coordinates — the keys that identify which cell a row describes
 //                 (sweep, table, family, graph, file, k, l, placement,
@@ -16,8 +15,9 @@
 // other repeat is a *divergence* — the run was not deterministic, a file
 // was corrupted, or two runs of one cell differ in a measured column such
 // as peak_rss_mb — reported with the first differing column.  A torn or
-// non-JSON line (a shard killed mid-write) is an error naming path:line:
-// rerun that shard and merge again.
+// non-JSON line is an error naming path:line, and a missing file (a shard
+// that stopped early publishes none) one naming the path: rerun that shard
+// and merge again.
 //
 // Rows whose only coordinates are sweep/table (fit lines, notes) use their
 // entire fact content as identity.

@@ -72,27 +72,6 @@ std::int64_t Cli::integer(const std::string& key, std::int64_t fallback) const {
   return v;
 }
 
-double Cli::real(const std::string& key, double fallback) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return fallback;
-  const std::string& token = it->second;
-  // Full-token match only; the first-character gate also rejects the
-  // "nan"/"inf" spellings std::stod would accept.
-  const std::size_t lead = token.rfind('-', 0) == 0 ? 1 : 0;
-  if (token.size() == lead || !(isDigit(token[lead]) || token[lead] == '.')) {
-    badNumber(key, token, "a number");
-  }
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(token, &used);
-  } catch (const std::exception&) {
-    badNumber(key, token, "a number");
-  }
-  if (used != token.size()) badNumber(key, token, "a number");
-  return v;
-}
-
 namespace {
 
 std::vector<std::string> splitOn(const std::string& value, char sep) {

@@ -23,9 +23,6 @@ class Cli {
   [[nodiscard]] std::string str(const std::string& key, const std::string& fallback) const;
   /// Strict full-token signed integer ("-12" ok; "4x", " 4", "+4" throw).
   [[nodiscard]] std::int64_t integer(const std::string& key, std::int64_t fallback) const;
-  /// Strict full-token real ("0.5", ".5", "1e3", "-0.25" ok; "0.5x",
-  /// " 1", "+1", "nan", "inf" throw).
-  [[nodiscard]] double real(const std::string& key, double fallback) const;
   /// Comma-separated list value; empty vector when the flag is absent.
   [[nodiscard]] std::vector<std::string> list(const std::string& key) const;
   /// Semicolon-separated list value (for workload specs, whose own

@@ -55,20 +55,6 @@ std::string Table::markdown() const {
   return os.str();
 }
 
-std::string Table::csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return os.str();
-}
-
 void Table::print(std::ostream& os, const std::string& title) const {
   os << "\n## " << title << "\n\n" << markdown() << '\n';
 }

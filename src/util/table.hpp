@@ -1,8 +1,7 @@
 #pragma once
-// Markdown / CSV table emitter for the benchmark harness.  Every bench
-// binary prints its results as a GitHub-flavoured markdown table (the same
-// "rows" the paper's Table 1 / figures report) plus optional CSV for
-// downstream plotting.
+// Markdown table emitter for the benchmark harness.  Every bench binary
+// prints its results as a GitHub-flavoured markdown table (the same "rows"
+// the paper's Table 1 / figures report).
 
 #include <iosfwd>
 #include <string>
@@ -24,13 +23,12 @@ class Table {
 
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
   [[nodiscard]] const std::vector<std::string>& header() const { return header_; }
-  /// Rendered cell strings, row-major (what markdown()/csv() emit).  Sinks
+  /// Rendered cell strings, row-major (what markdown() emits).  Sinks
   /// use this to mirror rows into machine-readable formats.
   [[nodiscard]] const std::vector<std::vector<std::string>>& data() const {
     return rows_;
   }
   [[nodiscard]] std::string markdown() const;
-  [[nodiscard]] std::string csv() const;
 
   /// Prints the markdown rendering preceded by `# title`.
   void print(std::ostream& os, const std::string& title) const;

@@ -474,6 +474,14 @@ TEST(BenchContext, SeedsOrFallsBackToHistoricalSeed) {
   EXPECT_EQ(ctx.seedsOr(17), (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
+std::vector<std::string> readLines(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << path;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
 /// Exit code and captured stdout/stderr of one runBenches call.
 struct BenchRun {
   int code;
@@ -562,6 +570,51 @@ TEST(RunBenches, PathFlagsWithoutAValueAreUsageErrors) {
   EXPECT_GT(std::filesystem::file_size(here.dir / "1"), 0u);
 }
 
+// A sweep that stops early must publish no output file: its rows stay in
+// PATH.partial, and PATH (which `disp_bench merge` reads) never appears.
+// Here trace_smoke writes its six rows and then scenario fails on a
+// missing graph file.
+const std::vector<std::string> kStopsAfterTraceSmoke{"trace_smoke", "scenario"};
+const std::vector<std::string> kMissingGraph{"--threads=1", "--graphs=file:absent.e",
+                                             "--ks=4", "--jsonl=P"};
+
+TEST(RunBenches, RunThatStopsEarlyPublishesNoOutputFile) {
+  const InFreshDirectory here("run_benches_stopped");
+  const BenchRun r = runBenchesWith(kStopsAfterTraceSmoke, kMissingGraph);
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("error: sweep 'scenario' failed"), std::string::npos) << r.err;
+  EXPECT_FALSE(std::filesystem::exists(here.dir / "P"));
+  EXPECT_EQ(readLines((here.dir / "P.partial").string()).size(), 6u);
+}
+
+TEST(RunBenches, RerunThatStopsEarlyRemovesTheEarlierOutput) {
+  const InFreshDirectory here("run_benches_rerun");
+  const BenchRun ok = runBenchesWith({"trace_smoke"}, {"--threads=1", "--jsonl=P"});
+  ASSERT_EQ(ok.code, 0) << ok.err;
+  EXPECT_EQ(readLines((here.dir / "P").string()).size(), 6u);
+  EXPECT_FALSE(std::filesystem::exists(here.dir / "P.partial"));
+
+  const BenchRun stopped = runBenchesWith(kStopsAfterTraceSmoke, kMissingGraph);
+  EXPECT_EQ(stopped.code, 1);
+  EXPECT_FALSE(std::filesystem::exists(here.dir / "P"));
+  EXPECT_EQ(readLines((here.dir / "P.partial").string()).size(), 6u);
+}
+
+// Publishing renames PATH.partial over PATH, which would replace a device
+// or a directory, so a path that names anything but a regular file is a
+// usage error that leaves it alone.
+TEST(RunBenches, OutputPathMustNameARegularFile) {
+  const InFreshDirectory here("run_benches_not_a_file");
+  std::filesystem::create_directory(here.dir / "out");
+  const BenchRun r = runBenchesWith({"trace_smoke"}, {"--threads=1", "--trace=out"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_EQ(r.out, "");
+  EXPECT_NE(r.err.find("error: --trace=out is not a regular file\n"), std::string::npos)
+      << r.err;
+  EXPECT_TRUE(std::filesystem::is_directory(here.dir / "out"));
+  EXPECT_FALSE(std::filesystem::exists(here.dir / "out.partial"));
+}
+
 TEST(RunBenches, AcceptsEveryDocumentedFlag) {
   // --trace and --trajectory are mutually exclusive, so one run each.
   const std::string jsonl = processTempPath("run_benches_flags", ".jsonl");
@@ -592,14 +645,6 @@ std::string writeTrace(const std::string& stem, const std::string& sweep,
   const BenchRun r = runBenchesWith({sweep}, flags);
   EXPECT_EQ(r.code, 0) << r.err;
   return path;
-}
-
-std::vector<std::string> readLines(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in) << path;
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  return lines;
 }
 
 void writeLines(const std::string& path, const std::vector<std::string>& lines) {

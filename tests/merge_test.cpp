@@ -622,10 +622,9 @@ TEST(MergeE2E, EmptyShardsExitZeroAndMergeToTheReference) {
 
 TEST(MergeE2E, MissingShardFileIsRefused) {
   const std::string dir = testDir("missing_shard");
-  // Shard 1 never ran (or its file was lost): the merge names the file and
-  // writes nothing.  Only a missing file or a torn line is caught: a shard
-  // killed between two rows leaves a short but clean file that merges, so
-  // a shard's nonzero exit is the sign that it needs a rerun.
+  // Shard 1 never ran, stopped early or was killed (its rows are then in
+  // shard1.jsonl.partial, and a run publishes shard1.jsonl only after
+  // every sweep succeeded): the merge names the file and writes nothing.
   ASSERT_EQ(runShard(dir, 0), 0);
   EXPECT_EQ(mergeShards(dir), 1);
   EXPECT_NE(slurp(dir + "/merge.err").find(dir + "/shard1.jsonl: cannot open"),
